@@ -1,0 +1,12 @@
+<XMark-Q8>{
+  for $s in /site return
+  for $pl in $s/people return
+  for $p in $pl/person return
+    <item>{
+      ($p/name/text(),
+       for $s2 in /site return
+       for $ca in $s2/closed_auctions return
+       for $t in $ca/closed_auction return
+         if ($t/buyer/person = $p/id) then <sale/> else ())
+    }</item>
+}</XMark-Q8>
