@@ -198,7 +198,7 @@ class BufferTree:
         """Bottom-up local search for irrelevant nodes (Figure 10)."""
         self.stats.gc_invocations += 1
         while node is not self.document and node.is_irrelevant:
-            if self._covered_by_aggregate(node):
+            if self.covered_by_aggregate(node.parent):
                 return
             parent = node.parent
             if parent is None:  # already detached by an earlier purge
@@ -209,13 +209,17 @@ class BufferTree:
                 node.marked_deleted = True
             node = parent
 
-    def _covered_by_aggregate(self, node: BufferNode) -> bool:
-        """Is some strict ancestor holding aggregate roles over this node?"""
-        ancestor = node.parent
-        while ancestor is not None:
-            if ancestor.aggregate_roles:
+    def covered_by_aggregate(self, node: BufferNode | None) -> bool:
+        """Does ``node`` or one of its ancestors hold aggregate roles?
+
+        The garbage collector asks it of a node's parent (coverage is by
+        strict ancestors); the projection lane of the node an arriving
+        token would attach to.
+        """
+        while node is not None:
+            if node.aggregate_roles:
                 return True
-            ancestor = ancestor.parent
+            node = node.parent
         return False
 
     def _purge(self, node: BufferNode) -> None:
@@ -278,7 +282,7 @@ class BufferTree:
         """
         node.finished = True
         self.cancellations.pop(node, None)
-        if node.is_irrelevant and not self._covered_by_aggregate(node):
+        if node.is_irrelevant and not self.covered_by_aggregate(node.parent):
             parent = node.parent
             self._purge(node)
             if parent is not None:

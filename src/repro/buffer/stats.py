@@ -85,6 +85,10 @@ class BufferStats:
     gc_invocations: int = 0
     signoffs_executed: int = 0
     tokens_read: int = 0
+    #: The part of ``tokens_read`` the guided scanner validated but never
+    #: materialised (docs/PERFORMANCE.md, "Scan-time projection"); zero
+    #: when the run was fed a pre-tokenised stream.
+    tokens_skipped: int = 0
     #: Sum over emitted output nodes of (tokens read at emission − tokens
     #: read at the node's creation): how long output sat in the buffer.
     #: The earliness pass (docs/EARLINESS.md) exists to shrink this.
@@ -159,7 +163,8 @@ class BufferStats:
             f"created {self.nodes_created}, purged {self.nodes_purged}, "
             f"dropped {self.nodes_dropped}; roles {self.roles_assigned} assigned, "
             f"{self.roles_removed} removed, {self.roles_cancelled} cancelled; "
-            f"gc x{self.gc_invocations}"
+            f"gc x{self.gc_invocations}; {self.tokens_read} tokens read "
+            f"({self.tokens_skipped} skipped at scan time)"
             + (
                 f"; schema fallbacks {self.schema_fallbacks}"
                 if self.schema_fallbacks

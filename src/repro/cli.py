@@ -295,12 +295,13 @@ def _cmd_run(args) -> int:
 
 def _run_streaming(engine, compiled, args) -> int:
     """Compile-once/run-many evaluation with incremental stdout output."""
-    from repro.xmlio import tokenize_file
+    from pathlib import Path
 
     session = engine.session(compiled)
     for path in args.document:
-        tokens = tokenize_file(sys.stdin if path == "-" else path)
-        stream = session.run_streaming(tokens)
+        # The session tokenizes (chunked, guided by its matcher): dead
+        # subtrees show up under --stats as tokens skipped at scan time.
+        stream = session.run_streaming(sys.stdin if path == "-" else Path(path))
         for fragment in stream.serialized():
             sys.stdout.write(fragment)
             # Flush per fragment: a piped consumer must see output as it

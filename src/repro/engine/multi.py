@@ -61,7 +61,7 @@ from repro.engine.session import (
     single_match_loops,
 )
 from repro.stream.preprojector import ProjectionLane
-from repro.stream.shared import SharedPreprojector
+from repro.stream.shared import ProductGuide, SharedPreprojector
 from repro.xmlio.serialize import StringSink, TokenSink
 from repro.xmlio.tokens import Token
 from repro.xquery.ast import Query
@@ -78,12 +78,15 @@ class MultiRunStats:
     benchmark gate asserts it equals one document scan.  ``lane_tokens``
     is each query's routed share of that scan, so
     ``sum(lane_tokens.values())`` against ``tokens_read * query_count``
-    quantifies what the bitmask routing saved.
+    quantifies what the bitmask routing saved.  ``tokens_skipped`` is the
+    part of ``tokens_read`` the product-guided scanner validated without
+    building a token (dead to every query); zero on a pre-tokenised stream.
     """
 
     query_count: int
     tokens_read: int
     lane_tokens: dict[str, int]
+    tokens_skipped: int
     peak_live_nodes: int
     peak_live_bytes: int
 
@@ -100,7 +103,8 @@ class MultiRunStats:
     def summary(self) -> str:
         return (
             f"{self.query_count} queries, one scan of {self.tokens_read} "
-            f"tokens; {self.dispatched_tokens} lane dispatches "
+            f"tokens ({self.tokens_skipped} skipped at scan time); "
+            f"{self.dispatched_tokens} lane dispatches "
             f"({self.routing_savings} saved by routing); aggregate hwm "
             f"{self.peak_live_nodes} nodes / {self.peak_live_bytes} bytes"
         )
@@ -295,6 +299,7 @@ class MultiStreamingRun:
             query_count=len(self._runs),
             tokens_read=self._shared.tokens_read,
             lane_tokens=lane_tokens,
+            tokens_skipped=self._shared.tokens_skipped,
             peak_live_nodes=self._accountant.peak_live_nodes,
             peak_live_bytes=self._accountant.peak_live_bytes,
         )
@@ -350,6 +355,9 @@ class MultiQuerySession:
             ]
         )
         self._accountant = _SharedPassAccountant()
+        # The product of the members' scan guides, kept across passes for
+        # its memoised rows; rebuilt when a session recycles its matcher.
+        self._guide: ProductGuide | None = None
         #: Completed shared passes (every query ran to completion).
         self.runs_completed = 0
 
@@ -376,7 +384,6 @@ class MultiQuerySession:
         tokenization with bounded memory), or any token iterator; it is
         tokenized exactly once regardless of the number of queries.
         """
-        tokens = document_tokens(document)
         options = self.options
         self._accountant.reap()  # settle GC-abandoned passes first
         # Check out (buffer, matcher) per query up front; until a run's
@@ -399,7 +406,12 @@ class MultiQuerySession:
                 )
                 for session, buffer, matcher in checkouts
             ]
-            shared = SharedPreprojector(tokens, lanes)
+            matchers = tuple(matcher for _s, _b, matcher in checkouts)
+            if self._guide is None or self._guide.guides != matchers:
+                self._guide = ProductGuide(matchers)
+            shared = SharedPreprojector(
+                document_tokens(document, guide=self._guide), lanes
+            )
             for index, name in enumerate(self.names):
                 session, buffer, _matcher = checkouts[index]
                 view = shared.view(index)

@@ -584,7 +584,9 @@ class SessionPool:
             name: (
                 query
                 if isinstance(query, CompiledQuery)
-                else compile_query(query, self.options.compile_options())
+                else compile_query(
+                    query, self.options.compile_options(), schema=self._schema
+                )
             )
             for name, query in named
         }

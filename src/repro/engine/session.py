@@ -28,7 +28,7 @@ import time
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Protocol
+from typing import IO, Callable, Iterator, Protocol
 
 from repro.analysis.compile import CompiledQuery, CompileOptions, compile_query
 from repro.analysis.schema import Schema
@@ -69,20 +69,25 @@ __all__ = [
 
 
 def document_tokens(
-    document: "str | bytes | bytearray | memoryview | Path | Iterator[Token]",
+    document: "str | bytes | bytearray | memoryview | Path | IO | Iterator[Token]",
+    guide: "object | None" = None,
 ) -> Iterator[Token]:
     """Normalize a document argument into a token stream.
 
     Text is tokenized in memory (``str`` is encoded once; raw UTF-8
     ``bytes``/``bytearray``/``memoryview`` feed the bytes-domain lexer
-    directly, skipping even that), a :class:`~pathlib.Path` through the
-    mmap/chunked file tokenizer with bounded memory, and any other
-    iterator is passed through untouched.
+    directly, skipping even that), a :class:`~pathlib.Path` or an open
+    file through the mmap/chunked file tokenizer with bounded memory, and
+    any other iterator is passed through untouched.  Every route that
+    reads bytes here scans under ``guide`` (the run's matcher, or the
+    shared pass's product guide), so subtrees dead to the projection
+    arrive as :class:`~repro.xmlio.tokens.Skipped` counts; a
+    pre-tokenised iterator is by construction unguided.
     """
     if isinstance(document, (str, bytes, bytearray, memoryview)):
-        return tokenize(document)
-    if isinstance(document, Path):
-        return tokenize_file(document)
+        return tokenize(document, guide=guide)
+    if isinstance(document, Path) or hasattr(document, "read"):
+        return tokenize_file(document, guide=guide)
     return document
 
 
@@ -590,7 +595,6 @@ def build_streaming_run(
     The flux-like baseline (``eager_leaf_bindings``) keeps the generic
     path — its point is to model the *buffered* push-based engine.
     """
-    tokens = document_tokens(document)
     constraints = owner.compiled.constraints
     if (
         constraints is not None
@@ -601,13 +605,13 @@ def build_streaming_run(
 
         direct = DirectEvaluator(
             constraints.zero_buffer,
-            tokens,
+            document_tokens(document),
             buffer.stats,
             owner.options.cost_model,
         )
         return StreamingRun(owner, buffer, direct, direct)
     preprojector = StreamPreprojector(
-        tokens,
+        document_tokens(document, guide=matcher),
         owner.compiled.projection_tree,
         buffer,
         aggregate_roles=owner.options.aggregate_roles,

@@ -36,14 +36,43 @@ is preserved, even without roles, when the current state matches nodes
 descendant-axis child labeled ``a``) for overlapping tests — discarding it
 would promote a descendant into a false child-axis match (Example 2).
 
+Scan rows (docs/PERFORMANCE.md, "Scan-time projection").  The matcher is
+also the tokenizer's *scan guide*: per DFA state it publishes a lazily
+filled :class:`ScanRow` telling the scanner, for each tag, whether the
+element is worth building at all.
+
+* ``DEAD`` is :meth:`ProjectionLane.subtree_dead` decided ahead of the
+  stream: the transition has no ``matches`` and no ``cumulative`` (hence no
+  roles — every role derives from a match), is not ``structural``, and no
+  tracked ancestor carried an aggregate role (such an ancestor made its
+  whole subtree LIVE, so no row is consulted below it).  Every per-query
+  effect of a token — child and descendant contributions, role assignment,
+  the promotion guard, aggregate coverage, accumulator credits (their
+  chains are projection-tree nodes) — derives from those multisets, so
+  nothing in the subtree can concern the query.  It is the criterion the
+  shared dispatcher already parks lanes on.
+* LIVE ("stop consulting rows until this element closes") is a transition
+  that carries an aggregate role (the subtree is covered) or a non-empty
+  ``cumulative``: a descendant/dos step can still fire anywhere below, and
+  ``cumulative`` never shrinks downwards, so nothing below could be DEAD.
+  That includes every reachable descendant-axis ``[1]`` step, whose
+  matching reads the whole frame stack rather than the state.
+* Rows are computed on **consumption-free** frames.  ``[1]`` consumption
+  and pending cancellations only ever *remove* matches and roles, and
+  child-axis contributions are monotone in the parent's matches, so the
+  lane's dynamic multisets are always contained in the row's static ones:
+  DEAD in the row implies dead for the lane whatever its dynamic state.
+  The tokenizer runs a whole batch ahead of the lane and never asks it.
+
 Thread safety (see docs/CONCURRENCY.md).  One matcher may serve concurrent
 runs: all per-run state lives in the :class:`MatchFrame` stacks owned by
 each run's preprojector, while the shared state — the interned DFA states
 and the transition table — is *immutable after publish*: a
 :class:`Transition` (and the dicts it carries) is never mutated once it is
-stored, and frames only read the dicts they borrow from it.  Publication is
-guarded by a single lock taken on the memoization **miss** path only; the
-hot hit path (one dict ``get``) stays lock-free.  The ``table_hits`` /
+stored, and frames only read the dicts they borrow from it.  Publication —
+of states, transitions, scan rows and their entries — is guarded by a
+single lock taken on the memoization **miss** path only; the hot hit path
+(one dict ``get``) stays lock-free.  The ``table_hits`` /
 ``off_dfa_computes`` counters are updated without the lock and may
 undercount under concurrency; they are exact in single-threaded use.
 """
@@ -52,18 +81,26 @@ from __future__ import annotations
 
 import threading
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from sys import intern
 
 from repro.analysis.projection_tree import ProjectionTree, PTNode
 from repro.analysis.roles import Role
+from repro.xmlio.lexer import DEAD, scan_entry
 from repro.xquery.paths import Axis, NodeTest
 
 __all__ = ["MatchFrame", "Transition", "StreamMatcher"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Transition:
-    """The result of matching one token: everything the preprojector needs."""
+    """The result of matching one token: everything the preprojector needs.
+
+    A published transition is a frozen *action record*: nothing in it
+    changes after the matcher stores it, so what the lane would otherwise
+    re-derive per delivered token — the role assignments as item tuples,
+    ready for :meth:`BufferTree.assign_roles` — is derived once here.
+    """
 
     matches: dict[PTNode, int]  # exact matches at the new node
     cumulative: dict[PTNode, int]  # ancestor-or-self matches, desc-capable
@@ -72,6 +109,35 @@ class Transition:
     structural: bool  # preservation condition (2) fired
     consumed_first: list[tuple[int, PTNode]]  # (stack depth, [1]-node) pairs
     state_id: int = -1  # interned DFA state of (matches, cumulative)
+    normal_items: tuple[tuple[Role, int], ...] = field(init=False)
+    aggregate_items: tuple[tuple[Role, int], ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.normal_items = tuple(self.normal_roles.items())
+        self.aggregate_items = tuple(self.aggregate_roles.items())
+
+
+class ScanRow(dict):
+    """One DFA state's scan row: tag-name bytes → scan entry or ``DEAD``.
+
+    What the guided tokenizer looks start tags up in while the element of
+    this state is the innermost delivered one (see
+    :func:`repro.xmlio.lexer.scan_entry` for the entry layout; a LIVE
+    child is an entry without a child row).  Filled lazily by
+    :meth:`StreamMatcher.miss`.
+    """
+
+    __slots__ = ("matches", "text_dead")
+
+    def __init__(self, matches: dict[PTNode, int], text_dead: bool) -> None:
+        #: The state's exact matches (its ``cumulative`` is empty, or the
+        #: element would have been LIVE and had no row).
+        self.matches = matches
+        #: Character data directly inside the element is dead.
+        self.text_dead = text_dead
+
+
+_NOTHING_CONSUMED: frozenset = frozenset()
 
 
 class MatchFrame:
@@ -87,8 +153,9 @@ class MatchFrame:
     ) -> None:
         self.matches = matches
         self.cumulative = cumulative
-        # [1]-steps already satisfied from this frame's context.
-        self.consumed: set[PTNode] = set()
+        # [1]-steps already satisfied from this frame's context; the set
+        # is allocated by the first consumption (most frames never see one).
+        self.consumed: "set[PTNode] | frozenset[PTNode]" = _NOTHING_CONSUMED
         # Interned DFA state; None for frames built outside the matcher
         # (tests), interned lazily on first lookup.
         self.state_id = state_id
@@ -121,6 +188,9 @@ class StreamMatcher:
         self._lock = threading.Lock()
         self._state_ids: dict[tuple, int] = {}
         self._table: dict[tuple[int, str | None], Transition] = {}
+        # Scan rows by state id; they live and die with this matcher, so
+        # recycling a bloated matcher replaces rows and table together.
+        self._rows: dict[int, ScanRow] = {}
         #: Transition-table lookups that hit a memoized transition.
         self.table_hits = 0
         #: Lookups that had to compute (and then memoize) the transition.
@@ -196,6 +266,48 @@ class StreamMatcher:
         return MatchFrame(
             transition.matches, transition.cumulative, transition.state_id
         )
+
+    # ------------------------------------------------------------------
+    # the scan guide (what the tokenizer consults ahead of the lane)
+    # ------------------------------------------------------------------
+
+    def root_row(self) -> ScanRow | None:
+        """The row for the document's top level; ``None`` when the root
+        itself is LIVE (a query rooted at ``//x`` can skip nothing)."""
+        frame = self.initial_frame()
+        if frame.cumulative:
+            return None
+        return self._row(frame.state_id, frame.matches)
+
+    def miss(self, row: ScanRow, name_key: bytes) -> "tuple | object":
+        """Decide, publish and return ``row``'s entry for a new tag."""
+        transition = self._compute(
+            [MatchFrame(row.matches, {})],
+            tag=intern(name_key.decode("utf-8")),
+            is_text=False,
+        )
+        if transition.aggregate_roles or transition.cumulative:
+            entry = scan_entry(name_key, None, row)  # LIVE
+        elif transition.matches or transition.structural:
+            child = self._row(transition.state_id, transition.matches)
+            entry = scan_entry(name_key, child, row, child.text_dead)
+        else:
+            entry = DEAD
+        with self._lock:
+            return row.setdefault(name_key, entry)
+
+    def _row(self, state_id: int, matches: dict[PTNode, int]) -> ScanRow:
+        row = self._rows.get(state_id)
+        if row is None:
+            text = self._compute(
+                [MatchFrame(matches, {})], tag=None, is_text=True
+            )
+            # No match means no role and no accumulator credit: text is
+            # never structural, and under a row nothing is covered.
+            row = ScanRow(matches, not text.matches)
+            with self._lock:
+                row = self._rows.setdefault(state_id, row)
+        return row
 
     # ------------------------------------------------------------------
 
@@ -356,6 +468,7 @@ class StreamMatcher:
         for depth, node in transition.consumed_first:
             consumed = stack[depth].consumed
             if not consumed:
+                consumed = stack[depth].consumed = set()
                 newly_consumed += 1
             consumed.add(node)
         return newly_consumed

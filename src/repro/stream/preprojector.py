@@ -31,13 +31,13 @@ from repro.analysis.roles import Role
 from repro.buffer.buffer import BufferTree, CancelEntry
 from repro.buffer.node import BufferNode
 from repro.stream.matcher import MatchFrame, StreamMatcher, Transition
-from repro.xmlio.tokens import EndTag, StartTag, Text, Token
+from repro.xmlio.tokens import EndTag, Skipped, StartTag, Text, Token
 from repro.xquery.paths import Axis, Path, Step
 
 __all__ = ["ProjectionLane", "StreamPreprojector"]
 
 
-@dataclass
+@dataclass(slots=True)
 class _OpenElement:
     """Bookkeeping for one open input element."""
 
@@ -53,10 +53,12 @@ class ProjectionLane:
     A lane owns all per-query dynamic state — the matcher frame stack, the
     open-element stack, consumed-``[1]`` counts and pending-cancellation
     application — but *not* the token source: the caller feeds it events
-    through :meth:`open`, :meth:`close`, :meth:`text` and
+    through :meth:`open`, :meth:`close`, :meth:`text`, :meth:`skipped` and
     :meth:`finish_stream`.  One lane behind one tokenizer is the classic
     single-query preprojector; N lanes behind one tokenizer is the shared
-    multi-query pass.
+    multi-query pass.  A guided tokenizer replaces runs of dead tokens with
+    :meth:`skipped` counts and an unguided stream never sends one, so the
+    lane takes either vocabulary and ends with the same counters.
     """
 
     def __init__(
@@ -112,34 +114,39 @@ class ProjectionLane:
 
     def open(self, tag: str) -> None:
         """An opening tag was read for this lane."""
-        self.buffer.stats.tokens_read += 1
+        buffer = self.buffer
+        stats = buffer.stats
+        stats.tokens_read += 1
         frames = self._frames
         transition = self.matcher.match_token(
             frames, tag=tag, is_text=False, any_consumed=self._consumed_frames > 0
         )
-        self._consumed_frames += self.matcher.apply_consumptions(frames, transition)
-        normal, aggregate, cancelled = self._apply_cancellations(
-            transition, tag=tag, is_text=False
-        )
+        if transition.consumed_first:
+            self._consumed_frames += self.matcher.apply_consumptions(
+                frames, transition
+            )
+        normal = transition.normal_items
+        aggregate = transition.aggregate_items
+        if buffer.cancellations and (normal or aggregate):
+            normal, aggregate = self._apply_cancellations(transition, tag)
         parent_entry = self._stack[-1]
-        node = self._maybe_buffer(
-            transition,
-            normal,
-            aggregate,
-            parent_entry,
-            lambda attach: self.buffer.new_element(attach, tag),
-        )
+        attach = parent_entry.attach
+        if normal or aggregate:
+            node = buffer.new_element(attach, tag)
+            buffer.assign_roles(node, normal, aggregate)
+        elif transition.structural or buffer.covered_by_aggregate(attach):
+            node = buffer.new_element(attach, tag)
+        else:
+            stats.nodes_dropped += 1
+            node = None
         if transition.consumed_first:
             self._record_witnesses(transition, node)
-        frame = self.matcher.frame_for(transition)
+        frame = MatchFrame(
+            transition.matches, transition.cumulative, transition.state_id
+        )
         frames.append(frame)
         self._stack.append(
-            _OpenElement(
-                tag,
-                frame,
-                node,
-                node if node is not None else parent_entry.attach,
-            )
+            _OpenElement(tag, frame, node, attach if node is None else node)
         )
         if self.accumulators is not None:
             self.accumulators.on_open(tag, transition.matches, node)
@@ -160,37 +167,51 @@ class ProjectionLane:
         """A text token (or its content) was read for this lane.
 
         Passing the token itself keeps decode-on-demand intact: a
-        :class:`~repro.xmlio.tokens.LazyText`'s UTF-8 decode runs inside
-        the buffer factory below, i.e. only when the projection actually
-        preserves the node.  Text the matcher discards — and every node in
-        a parked lane's withheld subtree — stays an undecoded byte span.
+        :class:`~repro.xmlio.tokens.LazyText`'s UTF-8 decode runs when the
+        node is buffered below, i.e. only when the projection actually
+        preserves it.  Text the matcher discards — and every node in a
+        parked lane's withheld subtree — stays an undecoded byte span.
         """
-        self.buffer.stats.tokens_read += 1
+        buffer = self.buffer
+        stats = buffer.stats
+        stats.tokens_read += 1
         frames = self._frames
         transition = self.matcher.match_token(
             frames, tag=None, is_text=True, any_consumed=self._consumed_frames > 0
         )
-        self._consumed_frames += self.matcher.apply_consumptions(frames, transition)
-        normal, aggregate, cancelled = self._apply_cancellations(
-            transition, tag=None, is_text=True
-        )
-        parent_entry = self._stack[-1]
-        node = self._maybe_buffer(
-            transition,
-            normal,
-            aggregate,
-            parent_entry,
-            lambda attach: self.buffer.new_text(
-                attach,
-                token.content if isinstance(token, Text) else token,
-            ),
-        )
+        if transition.consumed_first:
+            self._consumed_frames += self.matcher.apply_consumptions(
+                frames, transition
+            )
+        normal = transition.normal_items
+        aggregate = transition.aggregate_items
+        if buffer.cancellations and (normal or aggregate):
+            normal, aggregate = self._apply_cancellations(transition, None)
+        attach = self._stack[-1].attach
+        if normal or aggregate or buffer.covered_by_aggregate(attach):
+            node = buffer.new_text(
+                attach, token.content if isinstance(token, Text) else token
+            )
+            if normal or aggregate:
+                buffer.assign_roles(node, normal, aggregate)
+        else:
+            stats.nodes_dropped += 1
+            node = None
         if transition.consumed_first:
             self._record_witnesses(transition, node)
         if self.accumulators is not None:
             # The runtime decodes lazily: counting needs no content, only
             # value credits and open captures materialize the text.
             self.accumulators.on_text(token)
+
+    def skipped(self, tokens: int, dropped: int) -> None:
+        """``tokens`` tokens, ``dropped`` of them start tags or text, were
+        validated ahead of this lane and found dead: count them as read
+        and dropped, exactly as delivering them would have."""
+        stats = self.buffer.stats
+        stats.tokens_read += tokens
+        stats.tokens_skipped += tokens
+        stats.nodes_dropped += dropped
 
     def finish_stream(self) -> None:
         """The shared input ended: the lane's document node is finished."""
@@ -221,39 +242,6 @@ class ProjectionLane:
 
     # ------------------------------------------------------------------
 
-    def _maybe_buffer(
-        self,
-        transition: Transition,
-        normal: dict[Role, int],
-        aggregate: dict[Role, int],
-        parent_entry: _OpenElement,
-        factory,
-    ) -> BufferNode | None:
-        preserve = (
-            bool(normal)
-            or bool(aggregate)
-            or transition.structural
-            or self._covered_by_aggregate(parent_entry.attach)
-        )
-        if not preserve:
-            self.buffer.stats.nodes_dropped += 1
-            return None
-        node = factory(parent_entry.attach)
-        self.buffer.assign_roles(
-            node,
-            normal=list(normal.items()),
-            aggregate=list(aggregate.items()),
-        )
-        return node
-
-    def _covered_by_aggregate(self, attach: BufferNode) -> bool:
-        node: BufferNode | None = attach
-        while node is not None:
-            if node.aggregate_roles:
-                return True
-            node = node.parent
-        return False
-
     def _record_witnesses(
         self, transition: Transition, node: BufferNode | None
     ) -> None:
@@ -283,14 +271,17 @@ class ProjectionLane:
     # ------------------------------------------------------------------
 
     def _apply_cancellations(
-        self, transition: Transition, *, tag: str | None, is_text: bool
-    ) -> tuple[dict[Role, int], dict[Role, int], int]:
-        """Subtract already-signed-off role instances from fresh assignments."""
+        self, transition: Transition, tag: str | None
+    ) -> tuple[list[tuple[Role, int]], list[tuple[Role, int]]]:
+        """Subtract already-signed-off role instances from fresh assignments.
+
+        Only called with a non-empty cancellation registry and a transition
+        that assigns roles; ``tag`` is ``None`` for a text token.
+        """
+        is_text = tag is None
         normal = dict(transition.normal_roles)
         aggregate = dict(transition.aggregate_roles)
         registry = self.buffer.cancellations
-        if not registry:
-            return normal, aggregate, 0
         cancelled_total = 0
         for depth, entry in enumerate(self._stack):
             region = entry.buffer_node
@@ -300,7 +291,7 @@ class ProjectionLane:
             sequence: list[str | None] = [
                 self._stack[i].tag for i in range(depth + 1, len(self._stack))
             ]
-            sequence.append(None if is_text else tag)
+            sequence.append(tag)
             nodes: list[BufferNode | None] | None = None
             for cancel in registry[region]:
                 target = aggregate if cancel.aggregate else normal
@@ -335,7 +326,7 @@ class ProjectionLane:
                 cancelled_total += amount
         if cancelled_total:
             self.buffer.stats.on_cancelled(cancelled_total)
-        return normal, aggregate, cancelled_total
+        return list(normal.items()), list(aggregate.items())
 
     def _first_witness_cancellations(
         self, cancel: CancelEntry, transition: Transition, depth: int
@@ -447,6 +438,8 @@ class StreamPreprojector:
             lane.close()
         elif isinstance(token, Text):
             lane.text(token)
+        elif isinstance(token, Skipped):
+            lane.skipped(token.tokens, token.dropped)
         return True
 
     def run_to_completion(self) -> None:

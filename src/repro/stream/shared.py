@@ -34,16 +34,100 @@ The per-lane ``buffer.stats.tokens_read`` counts only the tokens actually
 dispatched to that lane, so ``RunResult.stats.tokens_read`` reports each
 query's routed share of the single scan — the routing savings are the
 difference to ``tokens_read * N``.
+
+The park rule is also evaluated *ahead* of the stream: :class:`ProductGuide`
+composes the lanes' scan rows (:mod:`repro.stream.matcher`) into one guide
+for the shared tokenizer, so a subtree that every lane would park on is
+validated by the scanner but never built, and arrives as one
+:class:`~repro.xmlio.tokens.Skipped` that the dispatcher charges to the
+lanes exactly as the withheld open/park/close would have been.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import threading
+from typing import Iterator, Sequence
 
 from repro.stream.preprojector import ProjectionLane
-from repro.xmlio.tokens import EndTag, StartTag, Text, Token
+from repro.xmlio.lexer import DEAD, scan_entry
+from repro.xmlio.tokens import EndTag, Skipped, StartTag, Text, Token
 
-__all__ = ["LaneView", "SharedPreprojector"]
+__all__ = ["LaneView", "ProductGuide", "SharedPreprojector"]
+
+
+class _ProductRow(dict):
+    """A :class:`ProductGuide` row: tag-name bytes → scan entry or ``DEAD``."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple) -> None:
+        #: Per lane, that lane's own row for the open element — or ``DEAD``
+        #: once the lane would have parked at an enclosing element.
+        self.parts = parts
+
+
+class ProductGuide:
+    """The scan guide of a shared pass: the lanes' guides, multiplied.
+
+    A product row is the tuple of the lanes' own rows.  A tag is ``DEAD``
+    iff it is dead for every lane, LIVE as soon as one lane is LIVE (that
+    lane needs every token below, so nothing can be skipped), and a lane
+    that goes ``DEAD`` stays dead in the rows below until its element
+    closes — :class:`SharedPreprojector`'s park rule, decided from the
+    lanes' static rows instead of their dynamic state.  Retirement stays
+    dynamic and only makes the product conservative: a retired lane keeps
+    vetoing skips it no longer needs.
+
+    Character data directly inside a delivered element is never reported
+    dead, so every token a shared pass skips lies inside one of the
+    ``roots`` its ``Skipped`` reports — which is what lets the dispatcher
+    charge it as ``roots`` open/park/close triples per active lane.
+
+    Rows are memoised on the guide; build one per tuple of lane guides and
+    reuse it while those stay the same objects.
+    """
+
+    def __init__(self, guides: Sequence) -> None:
+        self.guides = tuple(guides)
+        self._lock = threading.Lock()
+        self._rows: dict[tuple[int, ...], _ProductRow] = {}
+
+    def root_row(self) -> _ProductRow | None:
+        parts = tuple(guide.root_row() for guide in self.guides)
+        if any(part is None for part in parts):
+            return None  # one lane is LIVE from the document node down
+        return self._row(parts)
+
+    def miss(self, row: _ProductRow, name_key: bytes) -> "tuple | object":
+        children = []  # per lane: its child row, or DEAD
+        for guide, part in zip(self.guides, row.parts):
+            entry = DEAD
+            if part is not DEAD:
+                entry = part.get(name_key) or guide.miss(part, name_key)
+            if entry is not DEAD:
+                entry = entry[5]
+                if entry is None:  # LIVE for this lane: LIVE for the pass
+                    children = None
+                    break
+            children.append(entry)
+        if children is None:
+            entry = scan_entry(name_key, None, row)
+        elif all(child is DEAD for child in children):
+            entry = DEAD
+        else:
+            entry = scan_entry(name_key, self._row(tuple(children)), row)
+        with self._lock:
+            return row.setdefault(name_key, entry)
+
+    def _row(self, parts: tuple) -> _ProductRow:
+        # The lanes' rows are unhashable dicts, pinned by their matchers
+        # (and by the product row) for as long as this guide is in use.
+        key = tuple(map(id, parts))
+        row = self._rows.get(key)
+        if row is None:
+            with self._lock:
+                row = self._rows.setdefault(key, _ProductRow(parts))
+        return row
 
 
 class SharedPreprojector:
@@ -58,6 +142,8 @@ class SharedPreprojector:
         #: whole point of the subsystem is that this stays one document
         #: scan however many queries run.
         self.tokens_read = 0
+        #: The part of ``tokens_read`` the guided scanner never built.
+        self.tokens_skipped = 0
         self.exhausted = False
         self._depth = 0
         self._active: list[int] = list(range(len(lanes)))
@@ -153,6 +239,15 @@ class SharedPreprojector:
             # conversion its lanes never asked for.
             for index in active:
                 lanes[index].text(token)
+        elif isinstance(token, Skipped):
+            # ``roots`` subtrees dead to every lane: undelivered, each
+            # would have cost every active lane an open (dropped), a park
+            # and the close that ends it — and a parked lane nothing.
+            self.tokens_read += token.tokens - 1  # one was counted above
+            self.tokens_skipped += token.tokens
+            roots = token.roots
+            for index in active:
+                lanes[index].skipped(2 * roots, roots)
         return True
 
     def run_to_completion(self) -> None:

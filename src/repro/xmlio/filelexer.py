@@ -24,9 +24,9 @@ positions point into the window.  Compaction also maintains the newline
 counts that make ``XMLSyntaxError.line``/``.column`` computable after the
 prefix is gone, while ``position`` stays a document-absolute byte offset.
 
-When ``GCX_LEX_SHARDS`` requests it and the file is large enough,
-``tokenize_file`` hands the path to the process-sharded scan
-(:mod:`repro.xmlio.shard`) instead.
+Both routes inherit the guided scan: a scan ``guide`` is handed through to
+the scanner, whose dead-subtree validation honours the same batch budget,
+so the chunked window stays bounded inside arbitrarily large dead regions.
 
 ``tokenize_file`` accepts a path or any open (binary or text) file object.
 """
@@ -34,7 +34,6 @@ When ``GCX_LEX_SHARDS`` requests it and the file is large enough,
 from __future__ import annotations
 
 import mmap
-import os
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -56,11 +55,13 @@ class FileTokenizer(XMLTokenizer):
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         strip_whitespace: bool = True,
         convert_attributes: bool = True,
+        guide: "object | None" = None,
     ) -> None:
         super().__init__(
             b"",
             strip_whitespace=strip_whitespace,
             convert_attributes=convert_attributes,
+            guide=guide,
         )
         self._stream = stream
         self._chunk_size = max(chunk_size, 16)
@@ -111,25 +112,22 @@ def tokenize_file(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     strip_whitespace: bool = True,
     convert_attributes: bool = True,
+    guide: "object | None" = None,
 ) -> Iterator[Token]:
     """Tokenize an XML file (path, or open binary/text file) incrementally.
 
     Paths are mmap-scanned (``chunk_size`` is then irrelevant: the OS pages
     the file in and out as the scan advances); file objects go through the
     chunked :class:`FileTokenizer`.  When given a path the underlying file
-    is opened and closed by the iterator.
+    is opened and closed by the iterator.  ``guide`` is the scan guide of
+    :class:`~repro.xmlio.lexer.XMLTokenizer`.
     """
+    options = {
+        "strip_whitespace": strip_whitespace,
+        "convert_attributes": convert_attributes,
+        "guide": guide,
+    }
     if isinstance(source, (str, Path)):
-        if os.environ.get("GCX_LEX_SHARDS", "1") not in ("", "0", "1"):
-            from repro.xmlio import shard
-
-            sharded = shard.maybe_tokenize_file_sharded(
-                source,
-                strip_whitespace=strip_whitespace,
-                convert_attributes=convert_attributes,
-            )
-            if sharded is not None:
-                return sharded
 
         def generate() -> Iterator[Token]:
             with open(source, "rb") as handle:
@@ -140,19 +138,12 @@ def tokenize_file(
                 except (ValueError, OSError):
                     # Empty or unmappable (e.g. a FIFO): chunked fallback.
                     yield from FileTokenizer(
-                        handle,
-                        chunk_size=chunk_size,
-                        strip_whitespace=strip_whitespace,
-                        convert_attributes=convert_attributes,
+                        handle, chunk_size=chunk_size, **options
                     )
                     return
                 with mapped:
                     try:
-                        yield from XMLTokenizer(
-                            mapped,
-                            strip_whitespace=strip_whitespace,
-                            convert_attributes=convert_attributes,
-                        )
+                        yield from XMLTokenizer(mapped, **options)
                     except XMLSyntaxError as error:
                         # Unwinding closes the map the error's window
                         # points into; materialize line/column first.
@@ -160,11 +151,4 @@ def tokenize_file(
                         raise
 
         return generate()
-    return iter(
-        FileTokenizer(
-            source,
-            chunk_size=chunk_size,
-            strip_whitespace=strip_whitespace,
-            convert_attributes=convert_attributes,
-        )
-    )
+    return iter(FileTokenizer(source, chunk_size=chunk_size, **options))

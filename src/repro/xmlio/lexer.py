@@ -31,19 +31,23 @@ and decoding is deferred to the consumers that actually need characters:
   byte budget (:data:`BATCH_BYTES`, or the chunk size in file mode, so the
   file-backed subclass can compact its window between batches) instead of
   a token count, which removes a length check from the per-token loop.
-* *shard merge* — for large inputs the optional process-sharded scan
-  (:mod:`repro.xmlio.shard`) splits the document at tag boundaries, lexes
-  the shards in ``fragment`` mode in a process pool, and merges them with a
-  structural re-validation pass; any disagreement falls back to this
-  sequential scanner.
+* *guided scan* — with a scan ``guide`` (the projection matcher's lazy
+  DFA, see "Scan-time projection" in docs/PERFORMANCE.md) the scanner
+  looks every start tag up in the guide's row for the enclosing element;
+  a subtree the row calls DEAD is validated exactly as before — closer
+  stack, attribute syntax, unterminated constructs, EOF checks — but no
+  token is allocated, no text sliced and no tag interned for it, and the
+  subtree is delivered as one :class:`~repro.xmlio.tokens.Skipped` count.
+  Without a guide the tokenizer is the same scanner with nothing to skip.
 
 Positions (``XMLSyntaxError.position``) are document-absolute **byte**
 offsets; ``.line``/``.column`` are computed lazily from the offending
 window on first access.  The pre-batching implementation is preserved
 verbatim in :mod:`repro.xmlio._reference_lexer` and the pre-bytes batch
 lexer in :mod:`repro.xmlio._str_lexer`; differential tests assert all
-three emit identical token streams, and the CI perf gate tracks the
-speedups.
+three emit identical token streams (and that a guided stream, with every
+``Skipped`` expanded, is the unguided one), and the CI perf gate tracks
+the speedups.
 
 Supported XML subset
 --------------------
@@ -62,14 +66,27 @@ XML grammar's ``S`` production requires).
 
 from __future__ import annotations
 
-import os
 import re
 from sys import intern
 from typing import Iterator
 
-from repro.xmlio.tokens import EndTag, LazyCData, LazyText, StartTag, Token
+from repro.xmlio.tokens import (
+    EndTag,
+    LazyCData,
+    LazyText,
+    Skipped,
+    StartTag,
+    Token,
+)
 
-__all__ = ["XMLSyntaxError", "XMLTokenizer", "tokenize", "BATCH_BYTES"]
+__all__ = [
+    "XMLSyntaxError",
+    "XMLTokenizer",
+    "tokenize",
+    "BATCH_BYTES",
+    "DEAD",
+    "scan_entry",
+]
 
 #: Byte budget per scan batch for in-memory input: one internal scan
 #: call advances at most this far before handing the batch to the
@@ -111,18 +128,51 @@ _WS_SEARCH = re.compile(rb"[ \t\r\n]").search
 _SET_RAW = LazyText._raw.__set__
 
 
-def _tag_entry(name_key: bytes) -> "tuple[StartTag, tuple]":
-    """Intern one distinct tag spelling: build its table entry once.
+#: Row verdict for a start tag whose whole subtree no consumer can need:
+#: the scanner validates it and delivers a ``Skipped`` instead of tokens.
+DEAD = object()
 
-    The entry pairs the shared :class:`StartTag` with its *closer*
-    ``(b"name>", len, EndTag, "name")`` — the end-tag fast path compares
-    upcoming bytes against ``closer[0]`` of the innermost open element, so
-    one ``bytes.__eq__`` both resolves the token and proves the match.
+
+def scan_entry(
+    name_key: bytes,
+    child_row: "dict | None" = None,
+    parent_row: "dict | None" = None,
+    text_dead: bool = False,
+) -> tuple:
+    """Build the row entry of one tag spelling (interned once per row).
+
+    A *row* maps the undecoded tag name to what the scanner needs when it
+    meets that tag in a given context, as one flat tuple:
+
+    0. ``b"name>"`` and 1. its length — the *closer*: the end-tag fast path
+       compares upcoming bytes against it, so one ``bytes.__eq__`` both
+       resolves the token and proves the match.  A guide's LIVE entry has
+       no closer: its end tag takes the slow path, which is where the
+       scanner goes back to consulting rows;
+    2. the shared :class:`EndTag`, 3. the tag and 4. the shared
+       :class:`StartTag`;
+    5. the row the element's children are looked up in — ``None`` means
+       LIVE: nothing below is consulted, the tokenizer's own tag table
+       serves the whole subtree;
+    6. the guide row this entry lives in (restored when the element
+       closes) — ``None`` for the tokenizer's own table;
+    7. whether character data directly inside the element is dead.
+
+    The tokenizer's own table is the row with nothing to skip (fields 5–7
+    at their defaults); a scan guide supplies rows whose entries say more,
+    or :data:`DEAD` in place of an entry.
     """
     tag = intern(name_key.decode("utf-8"))
+    live = child_row is None and parent_row is not None
     return (
+        None if live else name_key + b">",
+        len(name_key) + 1,
+        EndTag(tag),
+        tag,
         StartTag(tag),
-        (name_key + b">", len(name_key) + 1, EndTag(tag), tag),
+        child_row,
+        parent_row,
+        text_dead,
     )
 
 
@@ -130,7 +180,7 @@ def _ws_only(raw: bytes) -> bool:
     """True when ``raw`` decodes to whitespace-only text (without decoding).
 
     Mirrors the reference lexer's ``content.strip() == ""`` check in the
-    bytes domain.  Shared with the shard merger's structural validation.
+    bytes domain.
     """
     if not raw:
         return True
@@ -226,12 +276,14 @@ class XMLTokenizer:
         When true (the default), attributes are emitted as leading
         subelements in document order: ``<a x="1">`` becomes
         ``<a><x>1</x>...``.  This mirrors the paper's benchmark adaptation.
-    fragment:
-        Shard-worker mode (:mod:`repro.xmlio.shard`): structural checks
-        that need the *document* context — root counting, text-outside-root,
-        end-tag matching against elements opened in an earlier shard, and
-        the EOF well-formedness checks — are suspended; the shard merger
-        re-validates the merged stream.  Not part of the public contract.
+    guide:
+        Optional scan guide (duck-typed; the projection matcher and the
+        shared pass's product guide implement it): ``root_row()`` returns
+        the row for the document's top level (``None``: nothing can be
+        skipped) and ``miss(row, name)`` fills and returns the entry of a
+        tag a row has not seen — a :func:`scan_entry` or :data:`DEAD`.
+        Dead subtrees are validated like any other input but delivered as
+        :class:`~repro.xmlio.tokens.Skipped` counts instead of tokens.
     """
 
     def __init__(
@@ -240,7 +292,7 @@ class XMLTokenizer:
         *,
         strip_whitespace: bool = True,
         convert_attributes: bool = True,
-        fragment: bool = False,
+        guide: "object | None" = None,
     ) -> None:
         if isinstance(text, str):
             data = text.encode("utf-8")
@@ -253,10 +305,12 @@ class XMLTokenizer:
         self._offset = 0  # bytes discarded by compaction (file mode)
         self._strip_whitespace = strip_whitespace
         self._convert_attributes = convert_attributes
-        self._fragment = fragment
-        # Innermost-first stack of *closers* (see :func:`_tag_entry`)
-        # for the currently open elements; ``closer[3]`` is the tag.
-        self._open_tags: list[tuple] = []
+        # Innermost-first stack of the open elements: the row entry (see
+        # :func:`scan_entry`) of each delivered element and, above them
+        # while a dead subtree is being validated, the bare ``b"</name>"``
+        # closer of each dead one (``_dead_depth`` of them).
+        self._open_tags: list = []
+        self._dead_depth = 0
         self._seen_root = False
         self._done = False
         # Batch machinery: tokens are scanned a batch at a time into
@@ -269,10 +323,15 @@ class XMLTokenizer:
         self._error: XMLSyntaxError | None = None
         # Interning tables keyed by the *undecoded* tag slice: one token
         # object — and one UTF-8 decode — per distinct tag spelling.
-        # ``_start_tags`` values are :func:`_tag_entry` pairs; ``_end_tags``
-        # caches the slow end-tag path (whitespace spellings and fragments).
-        self._start_tags: dict[bytes, tuple[StartTag, tuple]] = {}
+        # ``_start_tags`` is the tokenizer's own row (nothing to skip);
+        # ``_end_tags`` caches the slow end-tag path (whitespace spellings).
+        self._start_tags: dict[bytes, tuple] = {}
         self._end_tags: dict[bytes, EndTag] = {}
+        # The row start tags are looked up in right now: a guide row while
+        # the guide tracks the open element, else the tokenizer's own.
+        self._guide = guide
+        row = guide.root_row() if guide is not None else None
+        self._row: dict = row if row is not None else self._start_tags
         # Newline bookkeeping for lazy line/column on errors: counts for
         # the compacted-away prefix (file mode keeps these current).
         self._nl_before = 0
@@ -363,18 +422,26 @@ class XMLTokenizer:
         limit = pos + self._batch_bytes
         offset = self._offset
         strip_ws = self._strip_whitespace
-        fragment = self._fragment
-        seen_root = self._seen_root
         open_tags = self._open_tags
         pop = open_tags.pop
         push = open_tags.append
-        start_tags = self._start_tags
-        start_get = start_tags.get
+        live_row = self._start_tags
+        row = child_row = self._row
+        # Rows are consulted only while ``row`` is a guide's: without a
+        # guide, and inside a LIVE subtree, it is the tokenizer's own table,
+        # no entry says DEAD or text-dead and one flag skips the bookkeeping.
+        guided = row is not live_row
         end_tags = self._end_tags
         lazy_new = LazyText.__new__
         lazy_cls = LazyText
         set_raw = _SET_RAW
+        dead = DEAD
         try:
+            if self._dead_depth:
+                # The previous batch ended inside a dead subtree.
+                pos = self._scan_dead(pos, limit)
+                data = self._data
+                find = data.find
             while pos <= limit:
                 # EAFP bounds handling: indexing past the window raises
                 # instead of paying a ``pos >= n`` compare per token
@@ -393,18 +460,9 @@ class XMLTokenizer:
                     end = find(b"<", pos)
                     if end == -1:
                         self._pos = pos
-                        while end == -1:
-                            # Resume the search where the old data ended:
-                            # rescanning from ``pos`` would make one long
-                            # text run quadratic in the number of refills.
-                            old_length = len(data)
-                            if not self._refill():
-                                break
-                            data = self._data
-                            find = data.find
-                            end = find(b"<", old_length)
-                        if end == -1:
-                            end = len(data)
+                        end = self._find_text_end(len(data))
+                        data = self._data
+                        find = data.find
                     raw = data[pos:end]
                     start = pos
                     pos = end
@@ -413,11 +471,14 @@ class XMLTokenizer:
                     ):
                         if strip_ws:
                             continue
-                    elif not open_tags and not fragment:
+                    elif not open_tags:
                         raise XMLSyntaxError(
                             "character data outside the root element",
                             start + offset,
                         )
+                    if guided and open_tags and open_tags[-1][7]:
+                        append(Skipped(1, 1, 0))
+                        continue
                     # Inlined LazyText construction (``__new__`` plus one
                     # slot-descriptor store, no constructor frame): this
                     # runs once per text node in the document.
@@ -431,10 +492,9 @@ class XMLTokenizer:
                     # ``<`` is the window's last byte: in file mode the
                     # construct continues in the next chunk.
                     self._pos = pos
-                    while pos + 1 >= len(data) and self._refill():
-                        data = self._data
-                        find = data.find
-                    second = data[pos + 1] if pos + 1 < len(data) else -1
+                    second = self._second_byte(pos)
+                    data = self._data
+                    find = data.find
                 if second == _SLASH:
                     # -- end tag -----------------------------------------
                     # Fast path: compare the upcoming bytes against the
@@ -448,17 +508,14 @@ class XMLTokenizer:
                             pop()
                             pos = pos + 2 + skip
                             append(closer[2])
+                            if guided:
+                                row = closer[6]
                             continue
-                    # Slow path: whitespace inside the tag, a mismatch, a
-                    # fragment-mode close, or a chunk boundary mid-tag.
+                    # Slow path: whitespace inside the tag, a mismatch, or
+                    # a chunk boundary mid-tag.
                     end = find(b">", pos)
                     if end == -1:
-                        self._pos = pos
-                        end = self._find(b">", pos)
-                        if end == -1:
-                            raise XMLSyntaxError(
-                                "unterminated end tag", pos + offset
-                            )
+                        end = self._tag_end(pos, "end")
                         data = self._data
                         find = data.find
                     key = data[pos + 2 : end]
@@ -472,91 +529,50 @@ class XMLTokenizer:
                         )
                     name = token.tag
                     if not open_tags:
-                        if not fragment:
-                            raise XMLSyntaxError(
-                                f"closing tag </{name}> with no open element",
-                                pos + offset,
-                            )
-                    else:
-                        expected = open_tags[-1][3]
-                        if expected == name:
-                            pop()
-                        elif fragment:
-                            # An outer element opened in an earlier shard
-                            # may close here; the merger re-validates.
-                            pass
-                        else:
-                            raise XMLSyntaxError(
-                                f"mismatched closing tag </{name}>, "
-                                f"expected </{expected}>",
-                                pos + offset,
-                            )
+                        raise XMLSyntaxError(
+                            f"closing tag </{name}> with no open element",
+                            pos + offset,
+                        )
+                    closer = open_tags[-1]
+                    if closer[3] != name:
+                        raise XMLSyntaxError(
+                            f"mismatched closing tag </{name}>, "
+                            f"expected </{closer[3]}>",
+                            pos + offset,
+                        )
+                    pop()
+                    row = closer[6]
+                    if row is None:
+                        row = live_row
+                    guided = row is not live_row
                     pos = end + 1
                     append(token)
                     continue
                 if second == _BANG or second == _QMARK:
                     self._pos = pos
-                    # Make the construct kind decidable even when a chunk
-                    # boundary splits the prefix (longest is <![CDATA[);
-                    # only this rare branch pays for the lookahead check.
-                    if len(data) - pos < 9:
-                        while len(data) - pos < 9 and self._refill():
-                            data = self._data
-                        find = data.find
-                    if data[pos : pos + 4] == b"<!--":
-                        end = self._find(b"-->", pos)
-                        if end == -1:
-                            raise XMLSyntaxError(
-                                "unterminated construct, expected '-->'",
-                                pos + offset,
-                            )
-                        data = self._data
-                        find = data.find
-                        pos = end + 3
-                        continue
-                    if data[pos : pos + 9] == b"<![CDATA[":
-                        end = self._find(b"]]>", pos)
-                        if end == -1:
-                            raise XMLSyntaxError(
-                                "unterminated CDATA section", pos + offset
-                            )
-                        data = self._data
-                        find = data.find
-                        content = data[pos + 9 : end]
-                        if not open_tags and not fragment:
-                            raise XMLSyntaxError(
-                                "character data outside the root element",
-                                pos + offset,
-                            )
-                        pos = end + 3
-                        if strip_ws and _ws_only(content):
-                            continue
-                        append(LazyCData(content))
-                        continue
-                    if second == _QMARK:
-                        end = self._find(b"?>", pos)
-                        if end == -1:
-                            raise XMLSyntaxError(
-                                "unterminated construct, expected '?>'",
-                                pos + offset,
-                            )
-                        data = self._data
-                        find = data.find
-                        pos = end + 2
-                        continue
-                    pos = self._skip_doctype(pos)
+                    end, content = self._skip_markup(pos)
                     data = self._data
                     find = data.find
+                    if content is None:
+                        pos = end
+                        continue
+                    if not open_tags:
+                        raise XMLSyntaxError(
+                            "character data outside the root element",
+                            pos + offset,
+                        )
+                    pos = end
+                    if strip_ws and _ws_only(content):
+                        continue
+                    if open_tags[-1][7]:
+                        append(Skipped(1, 1, 0))
+                    else:
+                        append(LazyCData(content))
                     continue
                 # -- start tag -------------------------------------------
                 end = find(b">", pos)
                 if end == -1:
-                    self._pos = pos
-                    end = self._find(b">", pos)
-                    if end == -1:
-                        raise XMLSyntaxError(
-                            "unterminated start tag", pos + offset
-                        )
+                    end = self._tag_end(pos, "start")
                     data = self._data
                     find = data.find
                 if data[end - 1] == _SLASH:
@@ -565,62 +581,63 @@ class XMLTokenizer:
                 else:
                     self_closing = False
                     body = data[pos + 1 : end]
-                # Interned fast path: every cached key is whitespace-free
+                # Interned fast path: every row key is whitespace-free
                 # (guarded at the insertion sites), so a hit proves the
                 # body is a bare, already-seen tag name and the whitespace
                 # scan and name parse can be skipped entirely.
-                entry = start_get(body)
-                if entry is not None:
-                    token, closer = entry
-                    attributes = ()
-                elif _WS_SEARCH(body) is not None:
-                    name_key, attributes = self._parse_tag_body(body, pos)
-                    entry = start_get(name_key)
-                    if entry is None:
-                        entry = start_tags[name_key] = _tag_entry(name_key)
-                    token, closer = entry
-                else:
-                    if not body:
+                entry = row.get(body)
+                if entry is None:
+                    if _WS_SEARCH(body) is not None:
+                        name_key, attributes = self._parse_tag_body(body, pos)
+                    elif body:
+                        name_key = body
+                        attributes = ()
+                    else:
                         raise XMLSyntaxError("empty start tag", pos + offset)
-                    token, closer = start_tags[body] = _tag_entry(body)
+                    entry = row.get(name_key)
+                    if entry is None:
+                        entry = self._miss(row, name_key)
+                else:
                     attributes = ()
                 if not open_tags:
-                    if seen_root and not fragment:
+                    if self._seen_root:
                         raise XMLSyntaxError(
                             "document has more than one root element",
                             pos + offset,
                         )
-                    seen_root = True
+                    self._seen_root = True
+                if guided:
+                    if entry is dead:
+                        # Validate the subtree without building it,
+                        # re-scanned from its ``<``.
+                        pos = self._scan_dead(pos, limit)
+                        data = self._data
+                        find = data.find
+                        continue
+                    child_row = entry[5]
+                    if child_row is None:
+                        # LIVE: no row is consulted until the element closes.
+                        child_row = live_row
+                        guided = self_closing
                 pos = end + 1
-                append(token)
+                append(entry[4])
                 if attributes and self._convert_attributes:
-                    for attr_name, attr_value in attributes:
-                        attr_entry = start_get(attr_name)
-                        if attr_entry is None:
-                            attr_entry = _tag_entry(attr_name)
-                            # Pathological attr names (empty, or containing
-                            # whitespace) stay uncached: the start-tag fast
-                            # path relies on cached keys being bare names.
-                            if attr_name and _WS_SEARCH(attr_name) is None:
-                                start_tags[attr_name] = attr_entry
-                        append(attr_entry[0])
-                        if attr_value:
-                            append(LazyText(attr_value))
-                        append(attr_entry[1][2])
+                    self._emit_attributes(attributes, child_row)
                 if self_closing:
-                    append(closer[2])
+                    append(entry[2])
                 else:
-                    push(closer)
+                    push(entry)
+                    row = child_row
         except XMLSyntaxError as error:
             # Deliver already-scanned tokens first, then the error — the
             # stream behaves exactly like the token-at-a-time oracle.
             self._attach_location(error)
             self._error = error
             self._pos = pos
-            self._seen_root = seen_root
+            self._row = row
             return bool(out)
         self._pos = pos
-        self._seen_root = seen_root
+        self._row = row
         if out:
             return True
         # No tokens: either the stream ended, or the budget went into
@@ -628,6 +645,241 @@ class XMLTokenizer:
         # (``pos > scan_start``: every loop iteration that saw input either
         # appended a token or advanced the scan position.)
         return pos > scan_start and (pos < len(self._data) or not self._at_eof())
+
+    def _scan_dead(self, pos: int, limit: int) -> int:
+        """Validate one dead subtree without building it.
+
+        Entered at the ``<`` of a start tag the row calls :data:`DEAD` (or,
+        when a batch ended inside the subtree, wherever it stopped) and
+        left behind its closing tag, or where the batch budget ran out.
+        Every check of the delivering loop is kept — closer stack and
+        end-tag match, attribute syntax, unterminated constructs,
+        whitespace-only classification, refills — but no token is
+        allocated, no text sliced and no tag interned: what the unguided
+        stream would have delivered leaves as one :class:`Skipped`, ahead
+        of the error when a check fails.
+        """
+        data = self._data
+        find = data.find
+        offset = self._offset
+        strip_ws = self._strip_whitespace
+        convert = self._convert_attributes
+        open_tags = self._open_tags
+        depth = self._dead_depth
+        roots = 0 if depth else 1
+        tokens = dropped = 0
+        try:
+            while pos <= limit and (depth or not tokens):
+                try:
+                    first_byte = data[pos]
+                except IndexError:
+                    self._pos = pos
+                    if not self._refill():
+                        break
+                    data = self._data
+                    find = data.find
+                    continue
+                if first_byte != _LT:
+                    end = find(b"<", pos)
+                    if end == -1:
+                        self._pos = pos
+                        end = self._find_text_end(len(data))
+                        data = self._data
+                        find = data.find
+                    if not (
+                        strip_ws
+                        and (first_byte < 33 or first_byte >= 0xC2)
+                        and _ws_only(data[pos:end])
+                    ):
+                        tokens += 1
+                        dropped += 1
+                    pos = end
+                    continue
+                try:
+                    second = data[pos + 1]
+                except IndexError:
+                    self._pos = pos
+                    second = self._second_byte(pos)
+                    data = self._data
+                    find = data.find
+                if second == _SLASH:
+                    closer = open_tags[-1]  # ``b"</name>"``
+                    skip = len(closer)
+                    if data[pos : pos + skip] == closer:
+                        pos = pos + skip
+                    else:
+                        end = find(b">", pos)
+                        if end == -1:
+                            end = self._tag_end(pos, "end")
+                            data = self._data
+                            find = data.find
+                        key = data[pos + 2 : end].strip()
+                        if not key:
+                            raise XMLSyntaxError("empty end tag", pos + offset)
+                        if key != closer[2:-1]:
+                            raise XMLSyntaxError(
+                                f"mismatched closing tag </{key.decode('utf-8')}>"
+                                f", expected {closer.decode('utf-8')}",
+                                pos + offset,
+                            )
+                        pos = end + 1
+                    open_tags.pop()
+                    depth -= 1
+                    tokens += 1
+                    continue
+                if second == _BANG or second == _QMARK:
+                    self._pos = pos
+                    pos, content = self._skip_markup(pos)
+                    data = self._data
+                    find = data.find
+                    if content is not None and not (
+                        strip_ws and _ws_only(content)
+                    ):
+                        tokens += 1
+                        dropped += 1
+                    continue
+                end = find(b">", pos)
+                if end == -1:
+                    end = self._tag_end(pos, "start")
+                    data = self._data
+                    find = data.find
+                if data[end - 1] == _SLASH:
+                    self_closing = True
+                    body = data[pos + 1 : end - 1]
+                else:
+                    self_closing = False
+                    body = data[pos + 1 : end]
+                if _WS_SEARCH(body) is not None:
+                    body, attributes = self._parse_tag_body(body, pos)
+                    if convert:
+                        for _name, value in attributes:
+                            if value:
+                                tokens += 3
+                                dropped += 2
+                            else:
+                                tokens += 2
+                                dropped += 1
+                elif not body:
+                    raise XMLSyntaxError("empty start tag", pos + offset)
+                tokens += 1
+                dropped += 1
+                pos = end + 1
+                if self_closing:
+                    tokens += 1
+                    continue
+                closer = b"</" + body + b">"
+                # Leaf fast path: ``<name>text</name>`` inside the window
+                # closes in the same step — no push, no pop.
+                end = find(b"<", pos)
+                if end != -1 and data[end : end + len(closer)] == closer:
+                    if end > pos and not (
+                        strip_ws
+                        and (data[pos] < 33 or data[pos] >= 0xC2)
+                        and _ws_only(data[pos:end])
+                    ):
+                        tokens += 1
+                        dropped += 1
+                    tokens += 1
+                    pos = end + len(closer)
+                else:
+                    open_tags.append(closer)
+                    depth += 1
+        finally:
+            self._dead_depth = depth
+            if tokens:
+                self._out.append(Skipped(tokens, dropped, roots))
+        return pos
+
+    def _miss(self, row: dict, name_key: bytes):
+        """The entry of a tag ``row`` has not seen yet (filled in)."""
+        if row is self._start_tags:
+            entry = row[name_key] = scan_entry(name_key)
+            return entry
+        return self._guide.miss(row, name_key)
+
+    def _emit_attributes(self, attributes: list, row: dict) -> None:
+        """Deliver attributes as leading subelements, looked up in the
+        element's child ``row`` like any other child."""
+        append = self._out.append
+        for attr_name, attr_value in attributes:
+            entry = row.get(attr_name)
+            if entry is None:
+                # Pathological attr names (empty, or containing whitespace)
+                # stay uncached and delivered: the start-tag fast path
+                # relies on row keys being bare names.
+                if attr_name and _WS_SEARCH(attr_name) is None:
+                    entry = self._miss(row, attr_name)
+                else:
+                    entry = scan_entry(attr_name)
+            if entry is DEAD:
+                append(Skipped(3, 2, 1) if attr_value else Skipped(2, 1, 1))
+                continue
+            append(entry[4])
+            if attr_value:
+                append(Skipped(1, 1, 0) if entry[7] else LazyText(attr_value))
+            append(entry[2])
+
+    def _find_text_end(self, searched: int) -> int:
+        """The next ``<`` past the first ``searched`` bytes of the window,
+        refilling as needed; the end of input when there is none."""
+        while self._refill():
+            # Resume the search where the old data ended: rescanning from
+            # the run's start would make one long text run quadratic in the
+            # number of refills.
+            end = self._data.find(b"<", searched)
+            if end != -1:
+                return end
+            searched = len(self._data)
+        return len(self._data)
+
+    def _tag_end(self, pos: int, kind: str) -> int:
+        """The ``>`` of the tag at ``pos`` once a later chunk holds it."""
+        self._pos = pos
+        end = self._find(b">", pos)
+        if end == -1:
+            raise XMLSyntaxError(f"unterminated {kind} tag", pos + self._offset)
+        return end
+
+    def _second_byte(self, pos: int) -> int:
+        """The byte after the ``<`` at ``pos`` once the next chunk holds
+        it; -1 when the input ends there."""
+        while pos + 1 >= len(self._data) and self._refill():
+            pass
+        data = self._data
+        return data[pos + 1] if pos + 1 < len(data) else -1
+
+    def _skip_markup(self, pos: int) -> "tuple[int, bytes | None]":
+        """Skip the ``<!…``/``<?…`` construct at ``pos``.
+
+        Returns where it ends and, for a CDATA section, its content
+        (comments, processing instructions and DOCTYPE yield ``None``).
+        """
+        offset = self._offset
+        # Make the construct kind decidable even when a chunk boundary
+        # splits the prefix (longest is ``<![CDATA[``).
+        while len(self._data) - pos < 9 and self._refill():
+            pass
+        data = self._data
+        if data[pos : pos + 4] == b"<!--":
+            end = self._find(b"-->", pos)
+            if end == -1:
+                raise XMLSyntaxError(
+                    "unterminated construct, expected '-->'", pos + offset
+                )
+            return end + 3, None
+        if data[pos : pos + 9] == b"<![CDATA[":
+            end = self._find(b"]]>", pos)
+            if end == -1:
+                raise XMLSyntaxError("unterminated CDATA section", pos + offset)
+            return end + 3, self._data[pos + 9 : end]
+        if data[pos + 1] == _QMARK:
+            end = self._find(b"?>", pos)
+            if end == -1:
+                raise XMLSyntaxError(
+                    "unterminated construct, expected '?>'", pos + offset
+                )
+            return end + 2, None
+        return self._skip_doctype(pos), None
 
     def _at_eof(self) -> bool:
         return not self._refill()
@@ -708,17 +960,18 @@ class XMLTokenizer:
         return name, attributes
 
     def _finish_checks(self) -> None:
-        if self._done or self._fragment:
-            self._done = True
+        if self._done:
             return
         self._done = True
         # ``_pos`` is window-relative in chunked file mode; add the
         # compacted-away prefix so positions stay document-absolute.
         position = self._pos + self._offset
         if self._open_tags:
+            top = self._open_tags[-1]
+            # A delivered element's entry, or a dead one's bare closer.
+            name = top[2:-1].decode("utf-8") if isinstance(top, bytes) else top[3]
             error = XMLSyntaxError(
-                f"input exhausted with unclosed element <{self._open_tags[-1][3]}>",
-                position,
+                f"input exhausted with unclosed element <{name}>", position
             )
             self._attach_location(error)
             raise error
@@ -742,28 +995,19 @@ def tokenize(
     *,
     strip_whitespace: bool = True,
     convert_attributes: bool = True,
+    guide: "object | None" = None,
 ) -> Iterator[Token]:
     """Tokenize ``text`` into a stream of :class:`~repro.xmlio.tokens.Token`.
 
-    Accepts ``str`` (encoded once) or raw UTF-8 bytes.  When
-    ``GCX_LEX_SHARDS`` requests it and the document is large enough, the
-    scan is sharded across the process pool (see :mod:`repro.xmlio.shard`);
-    the token stream is identical either way.
+    Accepts ``str`` (encoded once) or raw UTF-8 bytes.  With a scan
+    ``guide`` (see :class:`XMLTokenizer`) dead subtrees arrive as
+    :class:`~repro.xmlio.tokens.Skipped` counts.
     """
-    if os.environ.get("GCX_LEX_SHARDS", "1") not in ("", "0", "1"):
-        from repro.xmlio import shard
-
-        sharded = shard.maybe_tokenize_sharded(
-            text,
-            strip_whitespace=strip_whitespace,
-            convert_attributes=convert_attributes,
-        )
-        if sharded is not None:
-            return sharded
     return iter(
         XMLTokenizer(
             text,
             strip_whitespace=strip_whitespace,
             convert_attributes=convert_attributes,
+            guide=guide,
         )
     )

@@ -33,6 +33,7 @@ __all__ = [
     "Text",
     "LazyText",
     "LazyCData",
+    "Skipped",
     "text_decode_count",
     "token_stream_to_string",
 ]
@@ -156,6 +157,30 @@ class LazyCData(LazyText):
     __slots__ = ()
 
     _unescape = False
+
+
+@dataclass(frozen=True, slots=True)
+class Skipped(Token):
+    """A run of dead material the guided scanner validated but never built.
+
+    Emitted by :class:`~repro.xmlio.lexer.XMLTokenizer` when it runs under a
+    scan guide (docs/PERFORMANCE.md, "Scan-time projection"), in the place
+    of the tokens it stands for, so a consumer that adds the counts keeps
+    exactly the counters the unguided stream would have produced.
+    """
+
+    #: Tokens the unguided stream would have delivered here (attribute
+    #: subelements and stripped whitespace counted exactly as unguided).
+    tokens: int
+    #: How many of them were start tags or text — what a projection lane
+    #: counts as dropped nodes.
+    dropped: int
+    #: Top-level dead elements spanned (each would have cost a lane of the
+    #: shared pass one open, one park and one close).
+    roots: int
+
+    def __str__(self) -> str:
+        return ""
 
 
 def escape_text(content: str) -> str:

@@ -314,6 +314,31 @@ class TestMapMulti:
             sequential.run(doc).output for doc in docs
         ]
 
+    def test_map_multi_compiles_with_the_pools_schema(self):
+        """Regression: text queries were compiled without ``schema=``, so a
+        trusted-schema pool served ``map_multi`` as if it had none."""
+        from repro.engine import EngineOptions, MultiQuerySession
+        from repro.xmark.schema import xmark_schema
+
+        schema = xmark_schema()
+        options = EngineOptions(trust_schema=True)
+        doc = serving_documents(1)[0]
+        expected = MultiQuerySession(self.QUERIES, options, schema=schema).run(doc)
+        with SessionPool(Q1, options, schema=schema, max_workers=2) as pool:
+            (row,) = pool.map_multi([doc], self.QUERIES)
+        untrusted = MultiQuerySession(self.QUERIES).run(doc)
+        for name, result in expected.items():
+            assert row[name].output == result.output
+            assert (row[name].hwm_bytes, row[name].tokens_read) == (
+                result.stats.hwm_bytes,
+                result.stats.tokens_read,
+            ), name
+        # ... and the schema does make a difference this test can see.
+        assert any(
+            expected[name].stats.tokens_read != untrusted[name].stats.tokens_read
+            for name in expected
+        )
+
     def test_map_multi_rejects_process_executor(self):
         with SessionPool(Q1, executor="process", max_workers=2) as pool:
             with pytest.raises(RuntimeError, match="thread executor"):

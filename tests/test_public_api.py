@@ -116,3 +116,27 @@ class TestEngineRegistry:
         assert len(repro.TABLE1_QUERIES) == 5
         doc = repro.generate_xmark(0.0005, seed=1)
         assert doc.startswith("<site>")
+
+
+class TestNoEnvironmentSwitches:
+    def test_the_package_reads_no_environment_variable(self):
+        """Behaviour is chosen by arguments and options, never by the
+        process environment: nothing under ``src/repro`` touches
+        ``os.environ``/``os.getenv`` (walked on the AST, so a docstring
+        that mentions one does not count)."""
+        import ast
+        from pathlib import Path
+
+        offenders = []
+        for source in sorted(Path(repro.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+                name = getattr(node, "attr", None) or getattr(node, "id", None)
+                if name in ("environ", "environb", "getenv", "putenv"):
+                    offenders.append(f"{source}:{node.lineno}")
+                elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                    offenders += [
+                        f"{source}:{node.lineno}"
+                        for alias in node.names
+                        if alias.name in ("environ", "environb", "getenv", "putenv")
+                    ]
+        assert not offenders, offenders

@@ -66,11 +66,10 @@ def check_module_docstrings() -> list[str]:
 
 #: Names the hot-path section of docs/PERFORMANCE.md must keep mentioning
 #: (beyond the FLOORS metrics, which are cross-checked from the code):
-#: the lexer's batch budget and the sharded-scan environment knobs.
+#: the lexer's batch budget and the scan-time projection vocabulary.
 PERFORMANCE_TERMS = (
     "BATCH_BYTES",
-    "GCX_LEX_SHARDS",
-    "GCX_LEX_SHARD_MIN_BYTES",
+    "Skipped",
     "text_decode_count",
     "_reference_lexer",
     "_str_lexer",
