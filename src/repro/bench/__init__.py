@@ -1,4 +1,10 @@
-"""Benchmark harness: Table 1 regeneration, measurement, reporting."""
+"""Benchmark harness: Table 1 regeneration, measurement, reporting.
+
+The serving benchmark's names resolve on first use (PEP 562):
+``repro.bench.serving`` drives a live ``gcx serve`` and so imports
+``repro.serve`` and ``asyncio``, which a cold ``import repro`` should not
+pay for.
+"""
 
 from repro.bench.ablation import (
     ABLATION_CONFIGS,
@@ -27,12 +33,6 @@ from repro.bench.multiquery import (
     MultiQueryReport,
     format_multiquery_report,
     run_multiquery_benchmark,
-)
-from repro.bench.serving import (
-    ServingPoint,
-    ServingReport,
-    format_serving_report,
-    run_serving_benchmark,
 )
 from repro.bench.harness import (
     DEFAULT_ENGINES,
@@ -80,3 +80,19 @@ __all__ = [
     "load_baseline",
     "compare",
 ]
+
+_SERVING = (
+    "ServingPoint",
+    "ServingReport",
+    "format_serving_report",
+    "run_serving_benchmark",
+)
+
+
+def __getattr__(name: str):
+    if name not in _SERVING:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.bench import serving
+
+    value = globals()[name] = getattr(serving, name)
+    return value

@@ -34,7 +34,6 @@ from pathlib import Path
 
 from repro.bench.concurrency import run_concurrency_benchmark
 from repro.bench.multiquery import run_multiquery_benchmark
-from repro.bench.serving import run_serving_benchmark
 from repro.engine.session import EngineOptions, QuerySession
 from repro.stream.preprojector import StreamPreprojector
 from repro.buffer.buffer import BufferTree
@@ -434,9 +433,13 @@ def run_quick_suite(
     )
 
     # -- network serving: gcx serve over real sockets -------------------
-    # The full serving path (framing, thread-to-loop bridge, real TCP) at
+    # The full serving path (framing, pass drivers, real TCP) at
     # the 4-client point; docs/s is tracked, p99 TTFB loosely gated —
     # both machine-dependent, so foreign hosts warn instead of failing.
+    # Imported here: the harness pulls in repro.serve and asyncio, which
+    # `import repro` (via repro.bench) must not pay for.
+    from repro.bench.serving import run_serving_benchmark
+
     serving = run_serving_benchmark(client_counts=(4,), docs_per_client=16)
     served = serving.point(4)
     add(

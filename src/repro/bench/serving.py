@@ -2,8 +2,9 @@
 
 Where :mod:`repro.bench.concurrency` measures the pool *inside* the
 process, this measures the whole serving path the ROADMAP's north star
-cares about: real sockets, NDJSON framing, the thread-to-loop fragment
-bridge, and per-connection backpressure.  N scripted clients connect to
+cares about: real sockets, NDJSON framing, the pass drivers (on the
+loop or behind the thread-to-loop frame bridge, by document size), and
+per-connection backpressure.  N scripted clients connect to
 an in-process :class:`~repro.serve.testing.ServerFixture`, register the
 same standing query (so all of them share one compiled
 :class:`~repro.engine.pool.SessionPool`), and pump the request batch of

@@ -122,7 +122,8 @@ def main(argv: list[str] | None = None) -> int:
         "--workers",
         type=int,
         default=4,
-        help="evaluation threads shared by all connections (default 4)",
+        help="evaluation threads for passes over documents too large to "
+        "run on the event loop, shared by all connections (default 4)",
     )
     net_p.add_argument(
         "--timeout",

@@ -443,6 +443,7 @@ class SessionPool:
         document: str | Path | Iterator[Token],
         *,
         on_event: Callable[[str], None] | None = None,
+        interrupt: Callable[[], None] | None = None,
     ) -> StreamingRun:
         """One incremental evaluation on the *calling* thread.
 
@@ -451,6 +452,9 @@ class SessionPool:
         Any number of threads — and any number of interleaved runs per
         thread — may hold streaming runs from one pool simultaneously.
         Not available on process pools (runs live in other processes).
+        ``interrupt`` rides the input stream (see
+        :func:`~repro.engine.session.document_tokens`): it is called per
+        delivered token and aborts the run by raising.
         """
         if self.executor_kind == "process":
             raise RuntimeError(
@@ -462,7 +466,12 @@ class SessionPool:
         self._accountant.run_started()
         try:
             return build_streaming_run(
-                self, document, buffer, matcher, on_event=on_event
+                self,
+                document,
+                buffer,
+                matcher,
+                on_event=on_event,
+                interrupt=interrupt,
             )
         except BaseException:
             # No release guard exists until StreamingRun.__init__ ends,

@@ -71,6 +71,7 @@ __all__ = [
 def document_tokens(
     document: "str | bytes | bytearray | memoryview | Path | IO | Iterator[Token]",
     guide: "object | None" = None,
+    interrupt: "Callable[[], None] | None" = None,
 ) -> Iterator[Token]:
     """Normalize a document argument into a token stream.
 
@@ -83,12 +84,27 @@ def document_tokens(
     shared pass's product guide), so subtrees dead to the projection
     arrive as :class:`~repro.xmlio.tokens.Skipped` counts; a
     pre-tokenised iterator is by construction unguided.
+
+    ``interrupt`` is called once per delivered token (or ``Skipped``)
+    and aborts the pass by raising: it is how a consumer on another
+    thread (``gcx serve``'s timeout and disconnect handling) stops a
+    pass that is producing no output.
     """
     if isinstance(document, (str, bytes, bytearray, memoryview)):
-        return tokenize(document, guide=guide)
-    if isinstance(document, Path) or hasattr(document, "read"):
-        return tokenize_file(document, guide=guide)
-    return document
+        tokens = tokenize(document, guide=guide)
+    elif isinstance(document, Path) or hasattr(document, "read"):
+        tokens = tokenize_file(document, guide=guide)
+    else:
+        tokens = document
+    return tokens if interrupt is None else _interruptible(tokens, interrupt)
+
+
+def _interruptible(
+    tokens: Iterator[Token], interrupt: Callable[[], None]
+) -> Iterator[Token]:
+    for token in tokens:
+        interrupt()
+        yield token
 
 
 class RunOwner(Protocol):
@@ -579,6 +595,7 @@ def build_streaming_run(
     matcher: StreamMatcher,
     *,
     on_event: Callable[[str], None] | None = None,
+    interrupt: Callable[[], None] | None = None,
 ) -> StreamingRun:
     """Wire the dynamic half of Figure 11 for one run.
 
@@ -605,13 +622,13 @@ def build_streaming_run(
 
         direct = DirectEvaluator(
             constraints.zero_buffer,
-            document_tokens(document),
+            document_tokens(document, interrupt=interrupt),
             buffer.stats,
             owner.options.cost_model,
         )
         return StreamingRun(owner, buffer, direct, direct)
     preprojector = StreamPreprojector(
-        document_tokens(document, guide=matcher),
+        document_tokens(document, guide=matcher, interrupt=interrupt),
         owner.compiled.projection_tree,
         buffer,
         aggregate_roles=owner.options.aggregate_roles,

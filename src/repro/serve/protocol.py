@@ -30,8 +30,10 @@ strings but are UTF-8-encoded exactly once at receipt and stay ``bytes``
 from there on: size limits count encoded bytes, chunked uploads
 accumulate and join byte parts, and the joined document feeds the
 bytes-domain lexer directly.  A JSON string boundary can never split a
-code point, so per-chunk encoding concatenates to the same byte stream
-as encoding the whole document at once.
+UTF-8 sequence, so per-chunk encoding concatenates to the same byte
+stream as encoding the whole document at once.  (It *can* split an
+escaped surrogate pair; each half is then a lone surrogate, which —
+like any text UTF-8 cannot encode — is refused with ``bad-field``.)
 
 Server frames carry a ``type`` field: ``registered``, ``unregistered``,
 ``result`` (one output fragment, sequenced per pass), ``done`` (end of a

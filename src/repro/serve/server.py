@@ -3,12 +3,18 @@
 One :class:`QueryServer` owns a registry of *standing queries*: each
 distinct query text (keyed by its whitespace-normalized form) gets one
 :class:`~repro.engine.pool.SessionPool`, compiled exactly once and shared
-by every connection that registers it.  Evaluation passes run on a small
-thread pool — the engine is synchronous by design — and their output is
-bridged back onto the event loop through a bounded queue, one fragment at
-a time, so the paper's incremental-output property survives the network
-hop: the first result frame leaves the socket while the document is still
-being consumed.
+by every connection that registers it.  The engine is a synchronous
+generator over an in-memory document; one frame producer
+(:func:`_pass_frames`) turns a pass into encoded ``result`` frames and a
+final ``done`` frame, and the document's size decides who pulls it
+(:data:`INLINE_PASS_BYTES`): the connection coroutine itself, on the
+event loop — no thread, no queue, a serve op costs what the engine costs
+— or, for a larger document, an evaluation thread whose frames cross a
+bounded queue back onto the loop (a pull pipeline cannot yield
+mid-token, and one big upload must not stall every other connection).
+Either way the paper's incremental-output property survives the network
+hop: the first result frame leaves the socket while the document is
+still being consumed.
 
 Backpressure holds end to end, in both directions:
 
@@ -16,18 +22,21 @@ Backpressure holds end to end, in both directions:
   not read from its socket while a pass is in flight, so TCP flow
   control pushes back on a fast producer; the stream reader's byte limit
   (``max_frame_bytes``) bounds what one unfinished line can buffer.
-* *engine -> client*: the fragment bridge queue is bounded; when the
-  client reads slowly, ``drain()`` slows the connection coroutine, the
-  queue fills, and the evaluator thread blocks on its next emit — the
-  pass advances at the pace of the slowest consumer instead of buffering
-  the result.
+* *engine -> client*: every pass frame is followed by ``await
+  writer.drain()``.  Inline, that await *is* the suspension point: while
+  the client is behind, the producer is not pulled.  Threaded, the
+  coroutine stops taking from the bridge queue, the queue fills, and the
+  evaluator thread blocks on its next frame.  The pass advances at the
+  pace of the slowest consumer instead of buffering the result.
 
 Faults are structured, not fatal: malformed XML, a query that fails to
 compile, an oversized document, or a per-request timeout each produce an
-``error`` frame and leave the connection serving.  Every abort path runs
-through :class:`~repro.engine.session.StreamingRun`'s release guard, so
-a pass that dies — disconnect, timeout, poison document — returns its
-buffer checkout to the pool exactly once (the RunOwner invariant the
+``error`` frame and leave the connection serving; an exception nobody
+foresaw becomes ``internal-error`` and a ``repro.serve`` log record.
+Every abort path closes the frame producer, whose ``finally`` runs
+:class:`~repro.engine.session.StreamingRun`'s release guard, so a pass
+that dies — disconnect, timeout, poison document — returns its buffer
+checkout to the pool exactly once (the RunOwner invariant the
 fault-injection suite asserts).
 
 Shutdown is a graceful drain: stop accepting, let in-flight passes
@@ -41,6 +50,8 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import contextlib
+import itertools
+import logging
 import signal
 import threading
 import time
@@ -53,7 +64,6 @@ import hashlib
 
 from repro.analysis.schema import Schema
 from repro.engine.pool import SessionPool
-from repro.engine.session import StreamingRun
 from repro.serve.protocol import (
     E_BAD_FIELD,
     E_DOCUMENT,
@@ -73,10 +83,46 @@ from repro.serve.protocol import (
     encode_frame,
 )
 from repro.serve.stats import ServerStats
-from repro.xmlio.lexer import XMLSyntaxError, tokenize
-from repro.xmlio.tokens import Token
+from repro.xmlio.lexer import XMLSyntaxError
 
-__all__ = ["ServeConfig", "QueryServer", "normalize_query_key", "run_server"]
+__all__ = [
+    "INLINE_PASS_BYTES",
+    "ServeConfig",
+    "QueryServer",
+    "normalize_query_key",
+    "run_server",
+]
+
+#: Failure-path records (connection id, op, exception).  Silent unless the
+#: embedder configures logging: without a handler of its own, stdlib
+#: logging would print WARNING and above to stderr.
+_log = logging.getLogger("repro.serve")
+_log.addHandler(logging.NullHandler())
+
+#: A document of at most this many bytes is evaluated on the event loop;
+#: anything larger gets an evaluation thread (see the module docstring).
+#: One observable property of the input decides the route — this is a
+#: derived constant, not a setting.
+#:
+#: Derivation: while an inline pass runs, no other connection is served
+#: (``drain()`` only suspends once the transport is backed up), so the
+#: cap bounds how long one pass may hold the loop.  The budget is ~10 ms
+#: — two GIL switch intervals, about what a threaded pass costs its
+#: neighbours anyway.  The worst ordinary case is a keep-everything
+#: query: a whole XMark-shaped document copied to the output, one frame
+#: and one socket write per output token.  Measured on the shared 2-core
+#: reference box, that runs at 1.3 MB/s in process (frames encoded, no
+#: socket) and at 0.35–0.6 MB/s behind a ``gcx serve`` subprocess
+#: (``elapsed_ms`` of the ``done`` frame): 8 KiB is ~6 ms of engine work
+#: and holds the loop 14–22 ms with its ~500 socket writes; 16 KiB
+#: measured 25–40 ms, so the cap is 8, not 16.  Projecting standing
+#: queries, the case ``gcx serve`` exists for, run at 4–11 MB/s: an
+#: 8 KiB document in 1–2 ms.  Not covered by the budget, and named
+#: rather than handled by a second mechanism: a document of nothing but
+#: 4-byte elements that are all copied out (one frame per 4 bytes,
+#: 0.10–0.17 MB/s: 50–80 ms at the cap), and a quadratic join without a
+#: hash plan (docs/JOINS.md), whose cost is not linear in the document.
+INLINE_PASS_BYTES = 8 * 1024
 
 
 def normalize_query_key(query_text: str) -> str:
@@ -96,7 +142,8 @@ class ServeConfig:
     #: 0 binds an ephemeral port (the fixture's mode); the bound port is
     #: readable as ``QueryServer.port`` after ``start()``.
     port: int = 0
-    #: Evaluation threads — concurrent passes across all connections.
+    #: Evaluation threads — concurrent *threaded* passes across all
+    #: connections (documents over INLINE_PASS_BYTES).
     eval_workers: int = 4
     #: Wall-clock ceiling per pass; ``None`` disables the timeout.
     request_timeout: float | None = 30.0
@@ -105,7 +152,8 @@ class ServeConfig:
     idle_timeout: float | None = None
     max_frame_bytes: int = MAX_FRAME_BYTES
     max_document_bytes: int = MAX_DOCUMENT_BYTES
-    #: Fragment-bridge queue depth per pass (engine -> client backpressure).
+    #: Frame-bridge queue depth per threaded pass (engine -> client
+    #: backpressure).
     bridge_depth: int = 64
     #: How long a graceful drain waits for in-flight passes before
     #: force-cancelling them.
@@ -129,89 +177,143 @@ class _PassFailed(Exception):
 
 
 class _EvalBridge:
-    """The thread->loop fragment conduit of one pass.
+    """The thread->loop frame conduit of one threaded pass.
 
     The evaluation thread calls :meth:`send`; items land in a *bounded*
-    ``asyncio.Queue`` consumed by the connection coroutine.  A full queue
-    blocks the evaluation thread (that is the backpressure), checking the
-    cancel event every ``_POLL`` seconds so an abandoned consumer —
-    disconnect, timeout, forced drain — unblocks the thread promptly and
-    lets the pass die through the run's release guard.
+    ``asyncio.Queue`` consumed by the connection coroutine: an encoded
+    frame, ``None`` once the pass is exhausted, or the
+    :class:`_PassFailed` that ended it.  A full queue blocks the
+    evaluation thread (that is the backpressure), checking the cancel
+    event every ``_POLL`` seconds so an abandoned consumer — disconnect,
+    timeout, forced drain — unblocks the thread promptly and lets the
+    pass die through the run's release guard.
     """
 
     _POLL = 0.1
 
-    def __init__(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        queue: "asyncio.Queue[tuple[str, Any]]",
-        cancel: threading.Event,
-    ) -> None:
+    def __init__(self, loop: asyncio.AbstractEventLoop, depth: int) -> None:
         self._loop = loop
-        self._queue = queue
-        self._cancel = cancel
+        self.queue: "asyncio.Queue[bytes | _PassFailed | None]" = asyncio.Queue(
+            maxsize=depth
+        )
+        self.cancel = threading.Event()
 
     def check_cancelled(self) -> None:
-        if self._cancel.is_set():
+        if self.cancel.is_set():
             raise _PassCancelled()
 
-    def send(self, item: tuple[str, Any]) -> None:
+    def send(self, item: "bytes | _PassFailed | None") -> None:
         self.check_cancelled()
         future = asyncio.run_coroutine_threadsafe(
-            self._queue.put(item), self._loop
+            self.queue.put(item), self._loop
         )
         while True:
             try:
                 future.result(self._POLL)
                 return
             except concurrent.futures.TimeoutError:
-                if self._cancel.is_set():
+                if self.cancel.is_set():
                     future.cancel()
                     raise _PassCancelled()
             except concurrent.futures.CancelledError:
                 raise _PassCancelled()
 
-    def report_error(self, exc: BaseException) -> None:
+    def report_error(self, failure: _PassFailed) -> None:
         """Best effort: a dead consumer must not mask the original error."""
         with contextlib.suppress(Exception):
-            self.send(("error", exc))
+            self.send(failure)
+
+    def pump(self, frames: Iterator[bytes]) -> None:
+        """Run the pass on this (evaluation) thread, frame by frame."""
+        try:
+            for data in frames:
+                self.send(data)
+            self.send(None)
+        except _PassCancelled:
+            pass
+        except _PassFailed as failure:
+            self.report_error(failure)
+        except BaseException as exc:
+            self.report_error(_PassFailed(exc))
+            raise
+        finally:
+            frames.close()
 
 
-def _run_pass(
-    pool: SessionPool, document: "str | bytes", bridge: _EvalBridge
-) -> None:
-    """One evaluation pass, executed on an evaluation thread.
+def _pass_frames(
+    pool: SessionPool,
+    alias: str,
+    document: bytes,
+    started: float,
+    interrupt: Callable[[], None] | None = None,
+) -> Iterator[bytes]:
+    """One evaluation pass as its encoded wire frames.
+
+    Yields a ``result`` frame per output fragment the moment the
+    evaluator decides it, then the ``done`` frame; an engine-side
+    exception surfaces as :class:`_PassFailed`.  Both drivers pull this
+    one producer: the connection coroutine directly, or an evaluation
+    thread (:meth:`_EvalBridge.pump`), for which ``interrupt`` rides the
+    input stream so a pass that emits nothing for a long stretch still
+    notices a timeout or disconnect within one token.
 
     Every exit path settles the pool checkout exactly once: exhaustion
-    releases it through the run's normal completion, and every
-    abort (cancel, malformed input, engine error) goes through
-    ``StreamingRun.close()`` whose release guard discards it.
+    releases it through the run's normal completion, and every abort
+    (generator close, cancel, malformed input, engine error) goes
+    through ``StreamingRun.close()`` whose release guard discards it.
     """
-
-    def guarded_tokens() -> Iterator[Token]:
-        # The cancel check rides the input stream, so a pass that emits
-        # no output for a long stretch (no matches yet) still notices a
-        # timeout or disconnect within one token.
-        for token in tokenize(document):
-            bridge.check_cancelled()
-            yield token
-
-    stream: StreamingRun | None = None
+    stream = None
     try:
-        stream = pool.run_streaming(guarded_tokens())
+        stream = pool.run_streaming(document, interrupt=interrupt)
+        seq = 0
         for fragment in stream.serialized():
-            # The tokens-consumed count rides along as the fragment's
-            # arrival offset: the result frame's "at" field, which is how
-            # clients observe earliness (docs/EARLINESS.md) on the wire.
-            bridge.send(("frag", (fragment, stream.tokens_consumed)))
-        bridge.send(("done", stream.result))
+            seq += 1
+            yield encode_frame(
+                {
+                    "type": "result",
+                    "id": alias,
+                    "seq": seq,
+                    "fragment": fragment,
+                    # The tokens-consumed count is the fragment's arrival
+                    # offset: how clients observe earliness
+                    # (docs/EARLINESS.md) on the wire.
+                    "at": stream.tokens_consumed,
+                }
+            )
+        stats = stream.result.stats
+        yield encode_frame(
+            {
+                "type": "done",
+                "id": alias,
+                "fragments": seq,
+                "hwm_nodes": stats.hwm_nodes,
+                "hwm_bytes": stats.hwm_bytes_modelled,
+                "tokens_read": stats.tokens_read,
+                "elapsed_ms": round(
+                    (time.perf_counter() - started) * 1_000.0, 3
+                ),
+            }
+        )
     except _PassCancelled:
+        raise
+    except Exception as exc:
+        raise _PassFailed(exc) from exc
+    finally:
         if stream is not None:
             stream.close()
-    except BaseException as exc:
-        if stream is not None:
-            stream.close()
-        bridge.report_error(exc)
+
+
+def _remaining(deadline: float | None) -> float | None:
+    """Seconds left before ``deadline`` (``None``: no deadline).
+
+    Raises ``asyncio.TimeoutError`` once the budget is spent.
+    """
+    if deadline is None:
+        return None
+    remaining = deadline - time.perf_counter()
+    if remaining <= 0:
+        raise asyncio.TimeoutError
+    return remaining
 
 
 class _Connection:
@@ -224,6 +326,7 @@ class _Connection:
         writer: asyncio.StreamWriter,
     ) -> None:
         self.server = server
+        self.id = next(server.connection_ids)  # names it in log records
         self.reader = reader
         self.writer = writer
         self.task: "asyncio.Task | None" = None
@@ -237,9 +340,12 @@ class _Connection:
         self._upload: tuple[str, list[bytes]] | None = None
         self._upload_bytes = 0
         self._closing = False
-        # The in-flight pass's cancel event, if any — the force-cancel
-        # hook a timed-out drain uses to kill stragglers.
+        # The in-flight threaded pass's cancel event, if any — the
+        # force-cancel hook a timed-out drain uses to kill stragglers.
         self._active_cancel: threading.Event | None = None
+        # Frames the current pass has written, and when the first left.
+        self._pass_frames_out = 0
+        self._pass_first_out = 0.0
 
     # -- outbound -------------------------------------------------------
 
@@ -350,6 +456,22 @@ class _Connection:
                 await self._send_error(error)
                 if error.fatal:
                     break
+            except (ConnectionError, OSError):
+                raise  # the peer is gone; _on_connection cleans up
+            except Exception as exc:
+                # No exception leaves the frame loop untyped: whatever a
+                # handler did not foresee is this op's failure, not the
+                # connection's.
+                _log.exception(
+                    "connection %d: op %r failed: %s: %s",
+                    self.id,
+                    frame["op"],
+                    type(exc).__name__,
+                    exc,
+                )
+                await self._send_error(
+                    ProtocolError(E_INTERNAL, f"{type(exc).__name__}: {exc}")
+                )
             if self.server.draining and not self._closing:
                 await self._best_effort_bye("draining")
                 break
@@ -371,9 +493,9 @@ class _Connection:
             await self._op_unregister(frame)
         elif op == "eval":
             self._require_idle(op)
-            # Encode once: the same bytes serve the size check and the
-            # lexer (which scans raw UTF-8 end to end).
-            document = frame["doc"].encode("utf-8")
+            # Encode once: the same bytes serve the size check, the
+            # route decision and the lexer (which scans raw UTF-8).
+            document = self._encode_payload(frame, "doc")
             self._check_document_size(len(document))
             await self._evaluate(frame["id"], self._pool_for(frame["id"]), document)
         elif op == "begin":
@@ -384,12 +506,15 @@ class _Connection:
         elif op == "chunk":
             if self._upload is None:
                 raise ProtocolError(E_STATE, "chunk outside begin/end")
-            # A JSON string boundary can never split a code point, so
-            # encoding chunk by chunk concatenates to the same UTF-8 as
-            # encoding the joined document once.
-            data = frame["data"].encode("utf-8")
-            self._upload_bytes += len(data)
+            # A JSON string boundary can never split a UTF-8 sequence,
+            # so encoding chunk by chunk concatenates to the same bytes
+            # as encoding the joined document once.  It can split an
+            # *escaped surrogate pair* ("\ud83d" | "\ude00"): each half
+            # then arrives as a lone surrogate, which no UTF-8 encodes,
+            # and the upload is refused like any other unencodable text.
             try:
+                data = self._encode_payload(frame, "data")
+                self._upload_bytes += len(data)
                 self._check_document_size(self._upload_bytes)
             except ProtocolError:
                 self._reset_upload()
@@ -420,6 +545,23 @@ class _Connection:
     def _reset_upload(self) -> None:
         self._upload = None
         self._upload_bytes = 0
+
+    @staticmethod
+    def _encode_payload(frame: dict[str, Any], field: str) -> bytes:
+        """The UTF-8 bytes of a document payload (``doc`` / ``data``).
+
+        JSON can spell a lone surrogate (``"\\ud800"``), Python decodes it
+        into a ``str`` that UTF-8 cannot encode, and XML could not carry
+        it anyway: a survivable ``bad-field``, not a dead connection.
+        """
+        try:
+            return frame[field].encode("utf-8")
+        except UnicodeEncodeError as error:
+            raise ProtocolError(
+                E_BAD_FIELD,
+                f"op {frame['op']!r} field {field!r} is not encodable as "
+                f"UTF-8: lone surrogate at character {error.start}",
+            ) from None
 
     def _check_document_size(self, nbytes: int) -> None:
         limit = self.server.config.max_document_bytes
@@ -464,112 +606,134 @@ class _Connection:
     # -- pass execution --------------------------------------------------
 
     async def _evaluate(
-        self, alias: str, pool: SessionPool, document: "str | bytes"
+        self, alias: str, pool: SessionPool, document: bytes
     ) -> None:
-        """Run one pass, forwarding fragments as sequenced result frames.
+        """Run one pass, forwarding its frames as they are produced.
 
-        The connection does not return to its read loop until the pass is
+        The document's size decides the driver (:data:`INLINE_PASS_BYTES`):
+        inline, this coroutine pulls the frame producer itself; threaded,
+        an evaluation thread does and the bridge forwards the bytes.  The
+        connection does not return to its read loop until the pass is
         settled — that is the read-pause half of the backpressure model.
         """
         config = self.server.config
-        loop = asyncio.get_running_loop()
-        queue: "asyncio.Queue[tuple[str, Any]]" = asyncio.Queue(
-            maxsize=config.bridge_depth
-        )
-        cancel = threading.Event()
-        bridge = _EvalBridge(loop, queue, cancel)
-        self._active_cancel = cancel
         started = time.perf_counter()
         deadline = (
             started + config.request_timeout
             if config.request_timeout is not None
             else None
         )
-        future = loop.run_in_executor(
-            self.server.executor, _run_pass, pool, document, bridge
+        inline = len(document) <= INLINE_PASS_BYTES
+        # Inline, nothing can set a cancel event while the loop is inside
+        # the pass (and the cap bounds the pass), so there is none.
+        bridge = (
+            None
+            if inline
+            else _EvalBridge(asyncio.get_running_loop(), config.bridge_depth)
         )
-        seq = 0
+        frames = _pass_frames(
+            pool, alias, document, started, bridge and bridge.check_cancelled
+        )
+        self._pass_frames_out = 0
         ok = False
+        error: ProtocolError | None = None
         try:
-            while True:
-                if deadline is not None:
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        raise asyncio.TimeoutError
-                    item = await asyncio.wait_for(queue.get(), remaining)
-                else:
-                    item = await queue.get()
-                kind, payload = item
-                if kind == "frag":
-                    fragment, at = payload
-                    seq += 1
-                    if seq == 1:
-                        self.server.stats.observe_ttfb(
-                            time.perf_counter() - started
-                        )
-                    await self._send(
-                        {
-                            "type": "result",
-                            "id": alias,
-                            "seq": seq,
-                            "fragment": fragment,
-                            "at": at,
-                        }
-                    )
-                elif kind == "done":
-                    result = payload
-                    await self._send(
-                        {
-                            "type": "done",
-                            "id": alias,
-                            "fragments": seq,
-                            "hwm_nodes": result.stats.hwm_nodes,
-                            "hwm_bytes": result.stats.hwm_bytes_modelled,
-                            "tokens_read": result.stats.tokens_read,
-                            "elapsed_ms": round(
-                                (time.perf_counter() - started) * 1_000.0, 3
-                            ),
-                        }
-                    )
-                    ok = True
-                    return
-                else:  # "error"
-                    raise _PassFailed(payload)
+            if bridge is None:
+                with contextlib.closing(frames):
+                    for data in frames:
+                        await self._forward(data, deadline)
+            else:
+                await self._drive_threaded(frames, bridge, deadline)
+            ok = True
         except asyncio.TimeoutError:
-            cancel.set()
-            await self._best_effort_error(
-                ProtocolError(
-                    E_TIMEOUT,
-                    f"pass exceeded the request timeout of "
-                    f"{config.request_timeout}s",
-                )
+            error = ProtocolError(
+                E_TIMEOUT,
+                f"pass exceeded the request timeout of "
+                f"{config.request_timeout}s",
             )
         except _PassFailed as failure:
             cause = failure.cause
-            code = E_DOCUMENT if isinstance(cause, XMLSyntaxError) else E_INTERNAL
-            await self._best_effort_error(
-                ProtocolError(code, f"{type(cause).__name__}: {cause}")
+            malformed = isinstance(cause, XMLSyntaxError)
+            _log.log(
+                logging.WARNING if malformed else logging.ERROR,
+                "connection %d: eval %r failed: %s: %s",
+                self.id,
+                alias,
+                type(cause).__name__,
+                cause,
+                exc_info=None if malformed else cause,
+            )
+            error = ProtocolError(
+                E_DOCUMENT if malformed else E_INTERNAL,
+                f"{type(cause).__name__}: {cause}",
             )
         finally:
+            stats = self.server.stats
+            # Every frame a pass writes is a result frame, except the
+            # done frame that ends a successful one.
+            if self._pass_frames_out - (1 if ok else 0):
+                stats.observe_ttfb(self._pass_first_out - started)
+            stats.pass_finished(
+                ok=ok, inline=inline, seconds=time.perf_counter() - started
+            )
+        # The pass is settled (checkout released) by now, whatever the
+        # client does with the verdict.
+        if error is not None:
+            await self._best_effort_error(error)
+
+    async def _forward(self, data: bytes, deadline: float | None) -> None:
+        """Write one frame of the pass in flight.
+
+        The budget is checked *before* the write, so a zero budget times
+        out ahead of any output.  Then ``drain()``: with nothing queued
+        in the transport it returns at once (or raises, if the peer is
+        gone); with the client behind, it is where the pass waits for
+        it — for what is left of the budget, so a reader that stops
+        reading times the pass out.
+        """
+        budget = _remaining(deadline)
+        self.writer.write(data)
+        self.server.stats.frame_out(len(data))
+        if not self._pass_frames_out:
+            self._pass_first_out = time.perf_counter()
+        self._pass_frames_out += 1
+        if self.writer.transport.get_write_buffer_size():
+            await asyncio.wait_for(self.writer.drain(), budget)
+        else:
+            await self.writer.drain()
+
+    async def _drive_threaded(
+        self, frames: Iterator[bytes], bridge: _EvalBridge, deadline: float | None
+    ) -> None:
+        """Forward the frames an evaluation thread produces from ``frames``."""
+        loop = asyncio.get_running_loop()
+        self._active_cancel = bridge.cancel
+        future = loop.run_in_executor(self.server.executor, bridge.pump, frames)
+        try:
+            while True:
+                budget = _remaining(deadline)
+                item = await asyncio.wait_for(bridge.queue.get(), budget)
+                if item is None:
+                    return
+                if isinstance(item, _PassFailed):
+                    raise item
+                await self._forward(item, deadline)
+        finally:
             self._active_cancel = None
-            self.server.stats.pass_finished(ok=ok)
-            if not future.done():
-                cancel.set()
+            bridge.cancel.set()
             # Unblock a producer stuck on the full queue, then wait for
             # the thread: the pass MUST be settled (checkout released)
-            # before this connection reads its next frame.
+            # before this connection reads its next frame.  The wait is
+            # on the future itself, so a finished pass sleeps for nothing.
             while not future.done():
-                while True:
-                    try:
-                        queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                await asyncio.sleep(0.005)
+                while not bridge.queue.empty():
+                    bridge.queue.get_nowait()
+                await asyncio.wait({future}, timeout=bridge._POLL)
             with contextlib.suppress(Exception):
                 await future
 
     def force_cancel(self) -> None:
-        """Kill the in-flight pass, if any (timed-out drain only)."""
+        """Kill the in-flight threaded pass, if any (timed-out drain only)."""
         cancel = self._active_cancel
         if cancel is not None:
             cancel.set()
@@ -589,6 +753,7 @@ class QueryServer:
         self.stats = ServerStats()
         self._pools: dict[str, SessionPool] = {}
         self._connections: set[_Connection] = set()
+        self.connection_ids = itertools.count(1)
         self._server: asyncio.AbstractServer | None = None
         self._bound_port = 0
         self.executor: ThreadPoolExecutor | None = None

@@ -1,11 +1,12 @@
 """Request/session metrics for the serving layer.
 
 :class:`ServerStats` is the server-wide counter block: connections,
-passes, wire bytes, query-cache behaviour, and a latency-to-first-byte
-histogram.  All mutation happens on the event-loop thread (the
-connection coroutines), so no lock is needed; cross-thread readers (the
-test fixture, the bench harness) only read integers, which is safe under
-the GIL — a snapshot may be an instant stale, never torn per-field.
+passes (and which driver ran them), wire bytes, query-cache behaviour,
+and latency-to-first-byte and whole-op histograms.  All mutation happens
+on the event-loop thread (the connection coroutines), so no lock is
+needed; cross-thread readers (the test fixture, the bench harness) only
+read integers, which is safe under the GIL — a snapshot may be an
+instant stale, never torn per-field.
 
 :class:`LatencyHistogram` keeps log-spaced buckets rather than raw
 samples so a server that has answered millions of requests still holds
@@ -114,11 +115,16 @@ class ServerStats:
         self.bytes_out = 0
         self.docs_ok = 0
         self.docs_failed = 0
+        #: Passes by driver: evaluated on the event loop / on a thread.
+        self.passes_inline = 0
+        self.passes_threaded = 0
         self.queries_compiled = 0
         self.query_cache_hits = 0
         #: Seconds from pass start to the first result frame, per pass
         #: that produced output (empty results never have a first byte).
         self.ttfb = LatencyHistogram()
+        #: Seconds from pass start to its settlement, per pass (ok or not).
+        self.op_ms = LatencyHistogram()
 
     # -- mutation hooks (event-loop thread only) ------------------------
 
@@ -142,11 +148,16 @@ class ServerStats:
     def observe_ttfb(self, seconds: float) -> None:
         self.ttfb.observe_ms(seconds * 1_000.0)
 
-    def pass_finished(self, *, ok: bool) -> None:
+    def pass_finished(self, *, ok: bool, inline: bool, seconds: float) -> None:
         if ok:
             self.docs_ok += 1
         else:
             self.docs_failed += 1
+        if inline:
+            self.passes_inline += 1
+        else:
+            self.passes_threaded += 1
+        self.op_ms.observe_ms(seconds * 1_000.0)
 
     def query_registered(self, *, cached: bool) -> None:
         if cached:
@@ -167,11 +178,16 @@ class ServerStats:
             "frames": {"in": self.frames_in, "out": self.frames_out},
             "bytes": {"in": self.bytes_in, "out": self.bytes_out},
             "docs": {"ok": self.docs_ok, "failed": self.docs_failed},
+            "passes": {
+                "inline": self.passes_inline,
+                "threaded": self.passes_threaded,
+            },
             "queries": {
                 "compiled": self.queries_compiled,
                 "cache_hits": self.query_cache_hits,
             },
             "ttfb": self.ttfb.snapshot(),
+            "op_ms": self.op_ms.snapshot(),
         }
 
     def summary(self) -> str:

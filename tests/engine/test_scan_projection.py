@@ -104,6 +104,76 @@ class TestSoloRoutes:
         assert offsets(document) == offsets(ROUTES["tokens"](document))
 
 
+class TestInterrupt:
+    """``SessionPool.run_streaming(..., interrupt=)``: the consumer's
+    cancel check rides the one place that turns bytes into tokens."""
+
+    DTD = "<!ELEMENT r (a*)> <!ELEMENT a (b*)> <!ELEMENT b (#PCDATA)>"
+
+    def test_called_once_per_delivered_token_or_skip(self, document):
+        """The check wraps the *guided* stream, so it runs less often
+        than tokens are read and changes nothing the run reports."""
+        calls = 0
+
+        def interrupt() -> None:
+            nonlocal calls
+            calls += 1
+
+        with SessionPool(QUERIES["Q1"]) as pool:
+            pool.run(document)  # warm the pooled buffer's free list
+            plain = pool.run(document.read_bytes())
+            stream = pool.run_streaming(document.read_bytes(), interrupt=interrupt)
+            output = "".join(stream.serialized())
+            delivered = sum(
+                1 for _ in tokenize(document.read_bytes(), guide=pool.matcher)
+            )
+        assert output == plain.output == expected("Q1")
+        assert counters(stream.result.stats) == counters(plain.stats)
+        assert stream.result.stats.tokens_skipped == plain.stats.tokens_skipped > 0
+        assert calls == delivered < plain.stats.tokens_read
+
+    def test_direct_evaluator_passes_are_interruptible_too(self):
+        from repro.analysis.schema import Schema
+        from repro.engine.direct import DirectEvaluator
+
+        calls = 0
+
+        def interrupt() -> None:
+            nonlocal calls
+            calls += 1
+
+        document = b"<r><a><b>one</b></a><a/></r>"
+        schema = Schema.from_dtd_text(self.DTD)
+        with SessionPool("<o>{for $x in //a return $x}</o>", schema=schema) as pool:
+            stream = pool.run_streaming(document, interrupt=interrupt)
+            assert isinstance(stream._preprojector, DirectEvaluator)
+            "".join(stream.serialized())
+        assert calls == sum(1 for _ in tokenize(document))  # unguided
+
+    def test_raising_aborts_the_run_and_releases_the_checkout(self):
+        class Stop(Exception):
+            pass
+
+        seen = 0
+
+        def interrupt() -> None:
+            nonlocal seen
+            seen += 1
+            if seen == 3:
+                raise Stop
+
+        with SessionPool("<o>{for $x in /a/b return $x}</o>") as pool:
+            stream = pool.run_streaming(
+                b"<a><b>1</b><b>2</b><b>3</b></a>", interrupt=interrupt
+            )
+            with pytest.raises(Stop):
+                for _token in stream:
+                    pass
+            assert pool.stats.outstanding_checkouts == 0
+            assert pool.stats.active_runs == 0
+            assert pool.run(b"<a><b>1</b></a>").output == "<o><b>1</b></o>"
+
+
 class TestSharedRoutes:
     def drain(self, session: MultiQuerySession, source):
         stream = session.run_streaming(source)

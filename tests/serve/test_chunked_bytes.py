@@ -2,10 +2,12 @@
 
 The server UTF-8-encodes each ``chunk`` payload once at receipt and joins
 the byte parts at ``end`` — it never concatenates in the str domain.  A
-JSON string boundary can never split a code point, so any client-side
+JSON string boundary can never split a UTF-8 sequence, so any client-side
 chunking of the document (including splits adjacent to multi-byte
 characters) must produce exactly the fragments and statistics of a
-one-shot inline ``eval`` of the same document.
+one-shot inline ``eval`` of the same document.  (The one thing a boundary
+can split is an *escaped* surrogate pair; ``tests/serve/test_faults.py``
+covers that refusal.)
 """
 
 from __future__ import annotations

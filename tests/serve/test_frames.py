@@ -140,8 +140,8 @@ class TestServerStats:
         stats = ServerStats()
         stats.frame_in(10)
         stats.frame_out(20)
-        stats.pass_finished(ok=True)
-        stats.pass_finished(ok=False)
+        stats.pass_finished(ok=True, inline=True, seconds=0.002)
+        stats.pass_finished(ok=False, inline=False, seconds=0.3)
         stats.query_registered(cached=False)
         stats.query_registered(cached=True)
         stats.observe_ttfb(0.004)
@@ -151,11 +151,14 @@ class TestServerStats:
         assert snapshot["docs"] == {"ok": 1, "failed": 1}
         assert snapshot["queries"] == {"compiled": 1, "cache_hits": 1}
         assert snapshot["ttfb"]["count"] == 1.0
+        assert snapshot["passes"] == {"inline": 1, "threaded": 1}
+        assert snapshot["op_ms"]["count"] == 2.0
+        assert snapshot["op_ms"]["max_ms"] == 300.0
 
     def test_summary_mentions_the_load_bearing_numbers(self):
         stats = ServerStats()
         stats.connection_opened()
-        stats.pass_finished(ok=True)
+        stats.pass_finished(ok=True, inline=True, seconds=0.001)
         summary = stats.summary()
         assert "1 docs served" in summary
         assert "p99" in summary

@@ -6,7 +6,10 @@ results must be *byte-identical* to the goldens — the fragments of one
 pass concatenate to exactly the engine's serialized output — and frame
 ordering must hold per pass (``seq`` strictly 1..n, ``done`` carrying n)
 even with 16 clients interleaving on one server (the acceptance
-criterion).  The tail of the file covers the session ops (register
+criterion).  The golden document is over ``INLINE_PASS_BYTES``, so those
+passes run on evaluation threads; every case runs a second time over a
+small XMark document under the cap (evaluated on the event loop), whose
+expected outputs come from the naive DOM oracle.  The tail of the file covers the session ops (register
 caching, unregister, ping/stats/quit) and the ``gcx serve`` entry points
 including a real SIGTERM drain against a subprocess.
 """
@@ -22,21 +25,57 @@ from pathlib import Path
 
 import pytest
 
+from repro.baselines import NaiveDomEngine
+from repro.xmark.generator import generate_xmark, xmark_scale_for_bytes
 from repro.xmark.queries import XMARK_QUERIES
 
+from repro.serve.server import INLINE_PASS_BYTES
 from repro.serve.testing import ServerFixture
+
+from tests.serve.test_faults import wait_until
 
 GOLDENS = Path(__file__).parent.parent / "engine" / "goldens"
 QUERY_NAMES = sorted(XMARK_QUERIES)
 
 
-@pytest.fixture(scope="module")
-def document() -> str:
-    return (GOLDENS / "document.xml").read_text(encoding="utf-8")
+class Corpus:
+    """One document and the expected output of every query over it."""
+
+    def __init__(self, route: str) -> None:
+        self.route = route
+        if route == "threaded":
+            self.document = (GOLDENS / "document.xml").read_text(encoding="utf-8")
+            self.expected = {
+                name: (GOLDENS / f"{name}.expected").read_text(encoding="utf-8")
+                for name in QUERY_NAMES
+            }
+        else:
+            self.document = generate_xmark(
+                xmark_scale_for_bytes(INLINE_PASS_BYTES // 2), seed=20070415
+            )
+            oracle = NaiveDomEngine()
+            self.expected = {
+                name: oracle.run(XMARK_QUERIES[name].adapted, self.document).output
+                for name in QUERY_NAMES
+            }
+        size = len(self.document.encode("utf-8"))
+        assert (size <= INLINE_PASS_BYTES) == (route == "inline"), size
+
+    def passes(self, fixture) -> int:
+        """Passes the server has booked on this corpus's route so far."""
+        stats = fixture.server.stats
+        return stats.passes_inline if self.route == "inline" else stats.passes_threaded
+
+    def assert_passes(self, fixture, count: int) -> None:
+        """``count`` passes took this corpus's route (polled: the done
+        frame leaves a moment before the pass is booked)."""
+        wait_until(lambda: self.passes(fixture) >= count, timeout=5.0)
+        assert self.passes(fixture) == count
 
 
-def expected(name: str) -> str:
-    return (GOLDENS / f"{name}.expected").read_text(encoding="utf-8")
+@pytest.fixture(scope="module", params=["inline", "threaded"])
+def corpus(request) -> Corpus:
+    return Corpus(request.param)
 
 
 @pytest.fixture(scope="module")
@@ -48,24 +87,26 @@ def fixture():
 class TestGoldenReplay:
     @pytest.mark.parametrize("name", QUERY_NAMES)
     def test_served_output_is_byte_identical_to_golden(
-        self, fixture, document, name
+        self, fixture, corpus, name
     ):
+        before = corpus.passes(fixture)
         with fixture.client(timeout=60.0) as client:
             assert client.register(name, XMARK_QUERIES[name].adapted)[
                 "type"
             ] == "registered"
-            fragments, final = client.eval_collect(name, document)
+            fragments, final = client.eval_collect(name, corpus.document)
             assert final["type"] == "done", final
-            assert "".join(fragments) == expected(name)
+            assert "".join(fragments) == corpus.expected[name]
             assert final["fragments"] == len(fragments)
         fixture.assert_clean()
+        corpus.assert_passes(fixture, before + 1)  # took the intended route
 
-    def test_result_frames_are_sequenced_per_pass(self, fixture, document):
+    def test_result_frames_are_sequenced_per_pass(self, fixture, corpus):
         with fixture.client(timeout=60.0) as client:
             client.register("q", XMARK_QUERIES["Q1"].adapted)
             for _pass in range(2):  # sequence restarts at 1 every pass
                 client.send_frame(
-                    {"op": "eval", "id": "q", "doc": document}
+                    {"op": "eval", "id": "q", "doc": corpus.document}
                 )
                 seqs = []
                 while True:
@@ -79,7 +120,10 @@ class TestGoldenReplay:
                 assert seqs == list(range(1, len(seqs) + 1))
         fixture.assert_clean()
 
-    def test_chunked_upload_matches_inline_eval(self, fixture, document):
+    def test_chunked_upload_matches_inline_eval(self, fixture, corpus):
+        """A chunked upload takes the route its *total* size says."""
+        document = corpus.document
+        before = corpus.passes(fixture)
         with fixture.client(timeout=60.0) as client:
             client.register("q", XMARK_QUERIES["Q6"].adapted)
             step = 1_000
@@ -92,16 +136,16 @@ class TestGoldenReplay:
             )
             fragments, final = client.collect_pass()
             assert final["type"] == "done"
-            assert "".join(fragments) == expected("Q6")
+            assert "".join(fragments) == corpus.expected["Q6"]
         fixture.assert_clean()
+        corpus.assert_passes(fixture, before + 1)
 
 
 class TestInterleavedClients:
-    def test_16_concurrent_clients_byte_identical_goldens(
-        self, fixture, document
-    ):
+    def test_16_concurrent_clients_byte_identical_goldens(self, fixture, corpus):
         """The acceptance criterion: 16 scripted clients, queries round-
         robin over the corpus, two passes each, all byte-identical."""
+        document, expected = corpus.document, corpus.expected.__getitem__
         clients = 16
         failures: list[str] = []
         barrier = threading.Barrier(clients)

@@ -140,3 +140,57 @@ class TestNoEnvironmentSwitches:
                         if alias.name in ("environ", "environb", "getenv", "putenv")
                     ]
         assert not offenders, offenders
+
+
+class TestNoTimerOnTheServeOpPath:
+    def test_the_server_never_sleeps(self):
+        """Every wait in ``serve/server.py`` is on an event — a future, a
+        queue, the transport — never on a clock: no ``asyncio.sleep`` or
+        ``time.sleep`` call, by any import spelling.  (A 5 ms settle poll
+        once cost every op 5 ms and took two PRs of profiling to find.)"""
+        import ast
+        from pathlib import Path
+
+        source = Path(repro.__file__).parent / "serve" / "server.py"
+        offenders = []
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                callee = node.func
+                name = getattr(callee, "attr", None) or getattr(callee, "id", None)
+                if name == "sleep":
+                    offenders.append(f"{source}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module in ("asyncio", "time"):
+                offenders += [
+                    f"{source}:{node.lineno}"
+                    for alias in node.names
+                    if alias.name == "sleep"
+                ]
+        assert not offenders, offenders
+
+
+class TestImportCost:
+    def test_import_repro_does_not_import_the_server(self):
+        """``repro.bench`` names the serving benchmark lazily, so a cold
+        ``import repro`` pays for neither ``repro.serve`` nor ``asyncio``
+        — while every documented name still resolves."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = (
+            "import sys, repro\n"
+            "loaded = [m for m in ('asyncio', 'repro.serve', 'repro.bench.serving')"
+            " if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+            "from repro.bench import ServingReport, run_serving_benchmark\n"
+            "import repro.bench\n"
+            "assert all(hasattr(repro.bench, n) for n in repro.bench.__all__)\n"
+            "assert all(hasattr(repro, n) for n in repro.__all__)\n"
+            "assert 'repro.serve' in sys.modules\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parent.parent))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr

@@ -66,9 +66,11 @@ def check_module_docstrings() -> list[str]:
 
 #: Names the hot-path section of docs/PERFORMANCE.md must keep mentioning
 #: (beyond the FLOORS metrics, which are cross-checked from the code):
-#: the lexer's batch budget and the scan-time projection vocabulary.
+#: the lexer's batch budget, the scan-time projection vocabulary and the
+#: serve layer's route cap.
 PERFORMANCE_TERMS = (
     "BATCH_BYTES",
+    "INLINE_PASS_BYTES",
     "Skipped",
     "text_decode_count",
     "_reference_lexer",
