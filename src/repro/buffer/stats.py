@@ -89,6 +89,14 @@ class BufferStats:
     #: materialised (docs/PERFORMANCE.md, "Scan-time projection"); zero
     #: when the run was fed a pre-tokenised stream.
     tokens_skipped: int = 0
+    #: The part of ``tokens_read`` the schema-certified direct runner
+    #: received inside copied :class:`~repro.xmlio.tokens.Span` subtrees
+    #: (docs/PERFORMANCE.md, "The COPY row"); zero elsewhere.
+    tokens_copied: int = 0
+    #: Matches the scanner was to copy but delivered LIVE: a possible
+    #: nested match, malformed or non-UTF-8 input, a subtree larger than
+    #: one batch, or a match spelled as an attribute.
+    copy_fallbacks: int = 0
     #: Sum over emitted output nodes of (tokens read at emission − tokens
     #: read at the node's creation): how long output sat in the buffer.
     #: The earliness pass (docs/EARLINESS.md) exists to shrink this.
@@ -165,6 +173,12 @@ class BufferStats:
             f"{self.roles_removed} removed, {self.roles_cancelled} cancelled; "
             f"gc x{self.gc_invocations}; {self.tokens_read} tokens read "
             f"({self.tokens_skipped} skipped at scan time)"
+            + (
+                f"; {self.tokens_copied} copied in spans, "
+                f"{self.copy_fallbacks} copy fallbacks"
+                if self.tokens_copied or self.copy_fallbacks
+                else ""
+            )
             + (
                 f"; schema fallbacks {self.schema_fallbacks}"
                 if self.schema_fallbacks

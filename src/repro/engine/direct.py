@@ -20,6 +20,15 @@ buffered engine produces.  Fallback captures are charged to the run's
 buffered nodes, so the reported high watermark stays honest, and
 ``schema_fallbacks`` counts the matches that needed it.
 
+The chain also guides the scanner (:class:`ChainGuide`, a lazy DFA
+memoised on ``(state, tag)`` and shared by every run of a session or
+pool): subtrees no chain state survives arrive as
+:class:`~repro.xmlio.tokens.Skipped` counts, and for ``{$x}`` bodies each
+match arrives as one :class:`~repro.xmlio.tokens.Span` — its output text,
+copied by the scanner — so on a conforming document nothing is built
+but the few tokens above the matches (docs/PERFORMANCE.md, "The COPY
+row").
+
 :class:`DirectEvaluator` plays both dynamic-phase parts of Figure 11 at
 once — it is the evaluator (``iter_tokens``) *and* the preprojector stand-
 in (``exhausted``) of its :class:`~repro.engine.session.StreamingRun`.
@@ -27,12 +36,15 @@ in (``exhausted``) of its :class:`~repro.engine.session.StreamingRun`.
 
 from __future__ import annotations
 
+import threading
+from sys import intern
 from typing import Iterator
 
 from repro.analysis.schema_constraints import ZeroBufferPlan
 from repro.buffer.stats import BufferCostModel, BufferStats
-from repro.xmlio.tokens import EndTag, StartTag, Token
-from repro.xquery.paths import Axis, Path, Step, TestKind
+from repro.xmlio.lexer import COPY, DEAD, scan_entry
+from repro.xmlio.tokens import EndTag, Skipped, Span, StartTag, Token
+from repro.xquery.paths import Axis, Path, TestKind
 
 __all__ = ["DirectEvaluator"]
 
@@ -131,74 +143,188 @@ class _PendingMatch:
         self.entries: list[tuple[Token, int, int]] = []  # (token, cost, born)
 
 
+class _ChainState:
+    """One state of the chain's lazy DFA: the set of NFA states alive at
+    an open element (NFA state *i* = the first *i* chain steps matched).
+
+    ``next`` memoises the transition per tag and ``row`` is the state's
+    scan row; entries are published under the guide's lock and never
+    change afterwards.
+    """
+
+    __slots__ = ("states", "match", "next", "row")
+
+    def __init__(self, states: frozenset[int], full: int) -> None:
+        self.states = states
+        #: A binding match opens here.
+        self.match = full in states
+        self.next: dict[str, _ChainState] = {}
+        self.row = _ChainRow(self)
+
+
+class _ChainRow(dict):
+    """A chain state's scan row: tag-name bytes -> scan entry or ``DEAD``."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: _ChainState) -> None:
+        self.state = state
+
+
+class ChainGuide:
+    """The chain's lazy DFA, and the scan guide it publishes.
+
+    One per compiled certified query, shared by every run of its session
+    or pool and warmed by them.  The runner steps it per delivered start
+    tag; the tokenizer reads its rows (``root_row()``/``miss()``, the
+    protocol of :class:`~repro.xmlio.lexer.XMLTokenizer`):
+
+    * DEAD where no chain state survives — nothing below can match;
+    * character data outside matches is dead (the runner drops it);
+    * COPY at a match start when the body copies the bound subtree and the
+      chain's last step is a name test: the subtree arrives as one
+      :class:`~repro.xmlio.tokens.Span` (or LIVE, when the scanner bails —
+      inside a match nothing is consulted, so a nested match is seen);
+    * LIVE at any other match start.
+
+    Memoisation is published under a lock taken on the miss path only;
+    :attr:`size` counts memoised transitions so an owner can replace a
+    guide that an adversarial document bloated (``MATCHER_STATE_CAP``).
+    """
+
+    def __init__(self, plan: ZeroBufferPlan) -> None:
+        self.plan = plan
+        chain = plan.chain
+        self._full = len(chain)
+        self._lock = threading.Lock()
+        self._states: dict[frozenset[int], _ChainState] = {}
+        #: Memoised (state, tag) transitions.
+        self.size = 0
+        last = chain[-1].test
+        self._copies = plan.kind == "subtree" and last.kind is TestKind.TAG
+        self.initial = self._intern(frozenset({0}))
+
+    def step(self, state: _ChainState, tag: str) -> _ChainState:
+        """The state below ``state`` for an element labelled ``tag``."""
+        nxt = state.next.get(tag)
+        if nxt is not None:
+            return nxt
+        chain = self.plan.chain
+        out = set()
+        for index in state.states:
+            if index == self._full:
+                # No step beyond the last; descendant re-entry happens from
+                # the persisting state below the full state, not from it.
+                continue
+            step = chain[index]
+            if step.test.matches_element(tag):
+                out.add(index + 1)
+            if step.axis is Axis.DESCENDANT:
+                out.add(index)
+        nxt = self._intern(frozenset(out))
+        with self._lock:
+            if tag not in state.next:
+                self.size += 1
+            return state.next.setdefault(tag, nxt)
+
+    def _intern(self, states: frozenset[int]) -> _ChainState:
+        with self._lock:
+            state = self._states.get(states)
+            if state is None:
+                state = self._states[states] = _ChainState(states, self._full)
+            return state
+
+    # -- the scan guide ----------------------------------------------------
+
+    def root_row(self) -> _ChainRow:
+        return self.initial.row
+
+    def miss(self, row: _ChainRow, name_key: bytes):
+        """Decide, publish and return ``row``'s entry for a new tag."""
+        state = self.step(row.state, intern(name_key.decode("utf-8")))
+        if not state.states:
+            entry = DEAD
+        elif state.match:
+            entry = scan_entry(name_key, COPY if self._copies else None, row)
+        else:
+            entry = scan_entry(name_key, state.row, row, True)
+        with self._lock:
+            return row.setdefault(name_key, entry)
+
+    def for_run(self, stats: BufferStats) -> "_RunGuide":
+        """The guide one run's tokenizer reads: these rows, with copy
+        fallbacks counted on the run's statistics."""
+        return _RunGuide(self, stats)
+
+
+class _RunGuide:
+    """A run's view of a shared :class:`ChainGuide`."""
+
+    __slots__ = ("root_row", "miss", "_stats")
+
+    def __init__(self, guide: ChainGuide, stats: BufferStats) -> None:
+        self.root_row = guide.root_row
+        self.miss = guide.miss
+        self._stats = stats
+
+    def copy_failed(self) -> None:
+        """The scanner could not copy a COPY subtree and delivers it LIVE."""
+        self._stats.copy_fallbacks += 1
+
+
 class DirectEvaluator:
     """Single-pass evaluation of a :class:`ZeroBufferPlan` over a stream.
 
-    The chain is run as an NFA over open tags with one state set per open
-    element (state *i* = the first *i* chain steps matched); a full-state
-    entry marks a binding match.  The first match with no match in flight
-    streams its body output live; matches opening inside it (schema
-    violations) are captured and replayed in document order once it
-    closes.
+    The chain runs as the guide's lazy DFA over open tags, one state per
+    open element; a state holding the full chain marks a binding match.
+    The first match with no match in flight streams its body output live
+    (or arrives whole, as a :class:`~repro.xmlio.tokens.Span` the scanner
+    copied); matches opening inside it (schema violations) are captured
+    and replayed in document order once it closes.
     """
 
     def __init__(
         self,
-        plan: ZeroBufferPlan,
+        guide: ChainGuide,
         tokens: Iterator[Token],
         stats: BufferStats,
         cost_model: BufferCostModel,
     ) -> None:
-        self._plan = plan
+        self._guide = guide
+        self._plan = guide.plan
         self._tokens = tokens
         self._stats = stats
         self._cost = cost_model
         self.exhausted = False
-
-    # -- chain NFA -------------------------------------------------------
-
-    def _transition(self, states: frozenset[int], tag: str) -> frozenset[int]:
-        chain = self._plan.chain
-        full = len(chain)
-        out = set()
-        for state in states:
-            if state == full:
-                # No step beyond the last; descendant re-entry happens from
-                # the persisting state below the full state, not from it.
-                continue
-            step: Step = chain[state]
-            if step.test.matches_element(tag):
-                out.add(state + 1)
-            if step.axis is Axis.DESCENDANT:
-                out.add(state)
-        return frozenset(out)
 
     # -- output ----------------------------------------------------------
 
     def iter_tokens(self) -> Iterator[Token]:
         plan = self._plan
         stats = self._stats
-        full = len(plan.chain)
+        step = self._guide.step
         wrapper_open = tuple(StartTag(tag) for tag in plan.wrappers)
         wrapper_close = tuple(EndTag(tag) for tag in reversed(plan.wrappers))
 
         for tag in plan.envelope:
             yield StartTag(tag)
 
-        state_stack: list[frozenset[int]] = [frozenset({0})]
+        state_stack: list[_ChainState] = [self._guide.initial]
         head_depth: int | None = None  # stack depth of the streaming match
         emitter = None
         pending: list[_PendingMatch] = []  # capture order = document order
         open_pending: list[_PendingMatch] = []
 
         for token in self._tokens:
-            stats.tokens_read += 1
             if isinstance(token, StartTag):
-                nxt = self._transition(state_stack[-1], token.tag)
+                stats.tokens_read += 1
+                top = state_stack[-1]
+                nxt = top.next.get(token.tag)
+                if nxt is None:
+                    nxt = step(top, token.tag)
                 state_stack.append(nxt)
-                is_match = full in nxt
                 if head_depth is None:
-                    if is_match:
+                    if nxt.match:
                         head_depth = len(state_stack)
                         emitter = _make_emitter(plan)
                         yield from wrapper_open
@@ -206,7 +332,7 @@ class DirectEvaluator:
                     else:
                         stats.nodes_dropped += 1
                     continue
-                if is_match:
+                if nxt.match:
                     # Nested match: the certificate said this cannot happen
                     # on conforming input — capture it for replay.
                     stats.schema_fallbacks += 1
@@ -219,6 +345,7 @@ class DirectEvaluator:
                     stats.on_create(cost)
                 yield from emitter.feed(token)
             elif isinstance(token, EndTag):
+                stats.tokens_read += 1
                 depth = len(state_stack)
                 state_stack.pop()
                 if head_depth is None:
@@ -247,7 +374,22 @@ class DirectEvaluator:
                                 stats.on_purge(cost)
                         yield from wrapper_close
                     pending.clear()
+            elif isinstance(token, Span):
+                # A whole match the scanner copied (COPY rows are consulted
+                # only outside matches): the body output, verbatim.
+                stats.tokens_read += token.tokens
+                stats.tokens_copied += token.tokens
+                yield from wrapper_open
+                yield token
+                yield from wrapper_close
+            elif isinstance(token, Skipped):
+                # Dead to the chain: what the unguided stream would have
+                # delivered and this loop dropped, as counts.
+                stats.tokens_read += token.tokens
+                stats.tokens_skipped += token.tokens
+                stats.nodes_dropped += token.dropped
             else:  # Text (or CData)
+                stats.tokens_read += 1
                 if head_depth is None:
                     stats.nodes_dropped += 1
                     continue

@@ -554,17 +554,27 @@ class Evaluator:
     def _scan_descendants(
         self, context: BufferNode, step: Step, last_seq: int
     ) -> BufferNode | None:
-        """First descendant (document order) with seq > last_seq matching."""
+        """First descendant (document order) with seq > last_seq matching.
+
+        Iterative pre-order walk: ``stack`` holds the ancestors whose next
+        sibling is still to be visited, so depth costs no Python frames.
+        """
+        buffer = self.buffer
+        stack: list[BufferNode] = []
         child = context.first_child
-        while child is not None:
+        while True:
+            if child is None:
+                if not stack:
+                    return None
+                child = stack.pop().next_sibling
+                continue
             if not child.marked_deleted:
-                if child.seq > last_seq and _matches(child, step, self.buffer):
+                if child.seq > last_seq and _matches(child, step, buffer):
                     return child
-                found = self._scan_descendants(child, step, last_seq)
-                if found is not None:
-                    return found
+                stack.append(child)
+                child = child.first_child
+                continue
             child = child.next_sibling
-        return None
 
     # ------------------------------------------------------------------
     # output
@@ -575,6 +585,16 @@ class Evaluator:
         yield from self._serialize(node)
 
     def _serialize(self, node: BufferNode) -> Iterator[Token]:
+        """Emit ``node``'s subtree in document order.
+
+        A finished subtree is emitted as it stands; an unfinished one (an
+        ``open`` site, see :meth:`_output_streaming`) in arrival order,
+        pulling input whenever the walk reaches the end of what has
+        arrived so far.  Iterative: ``current`` is the open element being
+        emitted, ``last`` its most recently visited child (None: none yet)
+        and ``stack`` the (ancestor, child descended into) pairs above it,
+        so an arbitrarily deep subtree costs one generator frame.
+        """
         stats = self.buffer.stats
         stats.tokens_held_before_emit += stats.tokens_read - node.born_tokens
         if node.kind == TEXT:
@@ -585,13 +605,37 @@ class Evaluator:
         # Interned per-tag tokens from the buffer's symbol table: emitting a
         # subtree allocates no tag objects (docs/PERFORMANCE.md).
         buffer = self.buffer
-        yield buffer.start_token(node.tag_id)
-        child = node.first_child
-        while child is not None:
-            if not child.marked_deleted:
-                yield from self._serialize(child)
-            child = child.next_sibling
-        yield buffer.end_token(node.tag_id)
+        start_token = buffer.start_token
+        end_token = buffer.end_token
+        yield start_token(node.tag_id)
+        stack: list[tuple[BufferNode, BufferNode]] = []
+        current = node
+        last: BufferNode | None = None
+        while True:
+            nxt = current.first_child if last is None else last.next_sibling
+            if nxt is None:
+                if not current.finished:
+                    if not self.preprojector.pull():
+                        raise EvaluationError(
+                            "input exhausted with an unfinished node"
+                        )
+                    continue
+                yield end_token(current.tag_id)
+                if not stack:
+                    return
+                current, last = stack.pop()
+                continue
+            last = nxt
+            if nxt.marked_deleted:
+                continue
+            stats.tokens_held_before_emit += stats.tokens_read - nxt.born_tokens
+            if nxt.kind == TEXT:
+                yield Text(nxt.text)
+                continue
+            yield start_token(nxt.tag_id)
+            stack.append((current, nxt))
+            current = nxt
+            last = None
 
     def _output_streaming(self, node: BufferNode) -> Iterator[Token]:
         """Emit an ``open``-watermark site as its tokens arrive.
@@ -607,7 +651,13 @@ class Evaluator:
             yield from self._output_subtree(node)
             return
         self.buffer.stats.early_flushes += 1
-        yield from self._stream_node(node)
+        # Arrival order is the final order because the aggregate cover
+        # freezes the region: every arriving descendant is preserved
+        # (``_maybe_buffer`` keeps covered nodes even when cancelled),
+        # ``collect_from`` skips covered nodes before marking, ``finish``
+        # never purges them, children only ever append, and no signoff runs
+        # while one output expression is being emitted.
+        yield from self._serialize(node)
 
     def _aggregate_covered(self, node: BufferNode) -> bool:
         current: BufferNode | None = node
@@ -616,37 +666,6 @@ class Evaluator:
                 return True
             current = current.parent
         return False
-
-    def _stream_node(self, node: BufferNode) -> Iterator[Token]:
-        """Serialize ``node`` in arrival order, pulling input as needed.
-
-        Sound because the aggregate cover freezes the region: every
-        arriving descendant is preserved (``_maybe_buffer`` keeps covered
-        nodes even when cancelled), ``collect_from`` skips covered nodes
-        before marking, ``finish`` never purges them, children only ever
-        append, and no signoff runs while one output expression is being
-        emitted — so arrival order *is* the final serialization order.
-        """
-        stats = self.buffer.stats
-        stats.tokens_held_before_emit += stats.tokens_read - node.born_tokens
-        if node.kind == TEXT:
-            yield Text(node.text)
-            return
-        buffer = self.buffer
-        yield buffer.start_token(node.tag_id)
-        last: BufferNode | None = None
-        while True:
-            nxt = node.first_child if last is None else last.next_sibling
-            if nxt is None:
-                if node.finished:
-                    break
-                if not self.preprojector.pull():
-                    raise EvaluationError("input exhausted with an unfinished node")
-                continue
-            last = nxt
-            if not nxt.marked_deleted:
-                yield from self._stream_node(nxt)
-        yield buffer.end_token(node.tag_id)
 
     def _ensure_finished(self, node: BufferNode) -> None:
         while not node.finished:
@@ -724,13 +743,22 @@ class Evaluator:
     def _buffered_descendants(
         self, node: BufferNode, step: Step
     ) -> Iterator[BufferNode]:
+        buffer = self.buffer
+        stack: list[BufferNode] = []  # ancestors whose next sibling is due
         child = node.first_child
-        while child is not None:
-            if not child.marked_deleted:
-                if _matches(child, step, self.buffer):
-                    yield child
-                yield from self._buffered_descendants(child, step)
-            child = child.next_sibling
+        while True:
+            if child is None:
+                if not stack:
+                    return
+                child = stack.pop().next_sibling
+                continue
+            if child.marked_deleted:
+                child = child.next_sibling
+                continue
+            if _matches(child, step, buffer):
+                yield child
+            stack.append(child)
+            child = child.first_child
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.analysis.compile import CompiledQuery, compile_query
 from repro.analysis.schema import Schema
@@ -73,10 +73,14 @@ from repro.engine.session import (
     build_streaming_run,
     drain_streaming_run,
     reap_dropped_runs,
+    warm_chain_guide,
 )
 from repro.stream.matcher import StreamMatcher
 from repro.xmlio.serialize import TokenSink
 from repro.xmlio.tokens import Token
+
+if TYPE_CHECKING:
+    from repro.engine.direct import ChainGuide
 
 __all__ = ["PoolResult", "PoolStats", "SessionPool"]
 
@@ -301,6 +305,9 @@ class SessionPool:
             self._compiled.projection_tree,
             aggregate_roles=self.options.aggregate_roles,
         )
+        # A certified query's runs read the chain guide instead, shared
+        # and recycled the same way (built by the first run that needs it).
+        self._warm_chain_guide: ChainGuide | None = None
         # Pooled dynamic half: idle buffers plus the checkout registry
         # mapping id(buffer) -> (owning thread ident, the buffer itself).
         # The registry IS the owner assertion: checking out a registered
@@ -607,26 +614,37 @@ class SessionPool:
             if session is None:
                 session = MultiQuerySession(compiled, self.options)
                 local.session = session
+            runs = len(chunk) * len(compiled)
             served = []
-            for document in chunk:
-                results = session.run(document)
-                served.append(
-                    {
-                        name: PoolResult.from_run(result)
-                        for name, result in results.items()
-                    }
-                )
+            try:
+                for document in chunk:
+                    results = session.run(document)
+                    served.append(
+                        {
+                            name: PoolResult.from_run(result)
+                            for name, result in results.items()
+                        }
+                    )
+            except BaseException:
+                self._accountant.remote_runs_failed(runs)
+                raise
+            # Counted here, not in a done callback: a consumer woken by
+            # the future's result may read the stats before callbacks run.
+            self._accountant.remote_runs_completed(runs)
             return served
+
+        def count_cancelled(runs: int, future: Future) -> None:
+            if future.cancelled():
+                self._accountant.remote_runs_failed(runs)
 
         def submit_chunk(chunk: list[str | Path]) -> Future:
             with self._lock:
                 if self._closed or self._closing:
                     raise RuntimeError("SessionPool is closed")
-            self._accountant.remote_runs_started(len(chunk) * len(compiled))
+            runs = len(chunk) * len(compiled)
+            self._accountant.remote_runs_started(runs)
             future = executor.submit(serve_chunk, chunk)
-            future.add_done_callback(
-                partial(self._count_remote, len(chunk) * len(compiled))
-            )
+            future.add_done_callback(partial(count_cancelled, runs))
             return future
 
         return self._windowed(documents, chunksize, window, submit_chunk)
@@ -745,6 +763,13 @@ class SessionPool:
                     aggregate_roles=self.options.aggregate_roles,
                 )
             return self._matcher
+
+    def _chain_guide(self) -> ChainGuide:
+        with self._lock:
+            guide = self._warm_chain_guide = warm_chain_guide(
+                self._warm_chain_guide, self._compiled
+            )
+        return guide
 
     # -- executor ---------------------------------------------------------
 

@@ -28,7 +28,7 @@ import time
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Callable, Iterator, Protocol
+from typing import IO, TYPE_CHECKING, Callable, Iterator, Protocol
 
 from repro.analysis.compile import CompiledQuery, CompileOptions, compile_query
 from repro.analysis.schema import Schema
@@ -47,6 +47,9 @@ from repro.xmlio.lexer import tokenize
 from repro.xmlio.serialize import StringSink, TokenSink, serialize_stream
 from repro.xmlio.tokens import Token
 from repro.xquery.ast import Query
+
+if TYPE_CHECKING:  # the direct runner is imported by its first certified run
+    from repro.engine.direct import ChainGuide
 
 #: A shared matcher whose lazy DFA outgrows this many states is replaced
 #: with a fresh one on the next run (bounds session-lifetime memory; normal
@@ -80,13 +83,15 @@ def document_tokens(
     directly, skipping even that), a :class:`~pathlib.Path` or an open
     file through the mmap/chunked file tokenizer with bounded memory, and
     any other iterator is passed through untouched.  Every route that
-    reads bytes here scans under ``guide`` (the run's matcher, or the
-    shared pass's product guide), so subtrees dead to the projection
-    arrive as :class:`~repro.xmlio.tokens.Skipped` counts; a
-    pre-tokenised iterator is by construction unguided.
+    reads bytes here scans under ``guide`` (the run's matcher, the shared
+    pass's product guide, or a certified query's chain guide), so
+    subtrees dead to the projection arrive as
+    :class:`~repro.xmlio.tokens.Skipped` counts (and copied matches as
+    :class:`~repro.xmlio.tokens.Span`); a pre-tokenised iterator is by
+    construction unguided.
 
-    ``interrupt`` is called once per delivered token (or ``Skipped``)
-    and aborts the pass by raising: it is how a consumer on another
+    ``interrupt`` is called once per delivered token (``Skipped`` and
+    ``Span`` included) and aborts the pass by raising: it is how a consumer on another
     thread (``gcx serve``'s timeout and disconnect handling) stops a
     pass that is producing no output.
     """
@@ -127,6 +132,8 @@ class RunOwner(Protocol):
     def _on_run_finished(self, buffer: BufferTree) -> None: ...
 
     def _on_run_closed(self, buffer: BufferTree) -> None: ...
+
+    def _chain_guide(self) -> ChainGuide: ...
 
 
 class _ReleaseGuard:
@@ -441,6 +448,9 @@ class QuerySession:
             self._compiled.projection_tree,
             aggregate_roles=self.options.aggregate_roles,
         )
+        # A certified query's runs read the chain guide instead; shared and
+        # recycled the same way, built by the first run that needs it.
+        self._warm_chain_guide: ChainGuide | None = None
 
     @property
     def compiled(self) -> CompiledQuery:
@@ -566,6 +576,14 @@ class QuerySession:
             )
         return self._matcher
 
+    def _chain_guide(self) -> ChainGuide:
+        """The shared warm chain guide (certified queries only)."""
+        with self._lock:
+            guide = self._warm_chain_guide = warm_chain_guide(
+                self._warm_chain_guide, self._compiled
+            )
+        return guide
+
     # -- buffer recycling ----------------------------------------------
 
     def _acquire_buffer_locked(self) -> BufferTree:
@@ -608,7 +626,8 @@ def build_streaming_run(
     Schema-certified queries short-circuit the whole buffered pipeline:
     the :class:`~repro.engine.direct.DirectEvaluator` streams input tokens
     straight to output with an empty buffer (and detects schema-violating
-    nesting structurally, so the output stays byte-identical either way).
+    nesting structurally, so the output stays byte-identical either way),
+    its input scanned under the owner's shared chain guide.
     The flux-like baseline (``eager_leaf_bindings``) keeps the generic
     path — its point is to model the *buffered* push-based engine.
     """
@@ -620,9 +639,12 @@ def build_streaming_run(
     ):
         from repro.engine.direct import DirectEvaluator
 
+        guide = owner._chain_guide()
         direct = DirectEvaluator(
-            constraints.zero_buffer,
-            document_tokens(document, interrupt=interrupt),
+            guide,
+            document_tokens(
+                document, guide=guide.for_run(buffer.stats), interrupt=interrupt
+            ),
             buffer.stats,
             owner.options.cost_model,
         )
@@ -648,6 +670,23 @@ def build_streaming_run(
         on_event=on_event,
     )
     return StreamingRun(owner, buffer, preprojector, evaluator)
+
+
+def warm_chain_guide(
+    guide: ChainGuide | None, compiled: CompiledQuery
+) -> ChainGuide:
+    """The chain guide a certified query's next run reads.
+
+    ``guide`` while it is warm; a fresh one when there is none yet or when
+    past documents memoised more than :data:`MATCHER_STATE_CAP` transitions
+    (a document with ever new tag names grows it without bound).  In-flight
+    runs keep the guide they started with.
+    """
+    if guide is None or guide.size > MATCHER_STATE_CAP:
+        from repro.engine.direct import ChainGuide
+
+        guide = ChainGuide(compiled.constraints.zero_buffer)
+    return guide
 
 
 def build_accumulators(

@@ -20,6 +20,7 @@ from repro.xmlio.tokens import (
     EndTag,
     LazyCData,
     LazyText,
+    Span,
     StartTag,
     Text,
     Token,
@@ -44,6 +45,7 @@ __all__ = [
     "Text",
     "LazyText",
     "LazyCData",
+    "Span",
     "text_decode_count",
     "XMLTokenizer",
     "XMLSyntaxError",

@@ -38,7 +38,11 @@ and decoding is deferred to the consumers that actually need characters:
   stack, attribute syntax, unterminated constructs, EOF checks — but no
   token is allocated, no text sliced and no tag interned for it, and the
   subtree is delivered as one :class:`~repro.xmlio.tokens.Skipped` count.
-  Without a guide the tokenizer is the same scanner with nothing to skip.
+  A subtree the row calls :data:`COPY` (the schema-certified runner's
+  ``{$x}`` matches) is validated the same way and delivered as one
+  :class:`~repro.xmlio.tokens.Span` of its canonical output text — or
+  LIVE, when it cannot be copied.  Without a guide the tokenizer is the
+  same scanner with nothing to skip.
 
 Positions (``XMLSyntaxError.position``) are document-absolute **byte**
 offsets; ``.line``/``.column`` are computed lazily from the offending
@@ -75,8 +79,11 @@ from repro.xmlio.tokens import (
     LazyCData,
     LazyText,
     Skipped,
+    Span,
     StartTag,
     Token,
+    escape_text,
+    unescape_text,
 )
 
 __all__ = [
@@ -84,6 +91,7 @@ __all__ = [
     "XMLTokenizer",
     "tokenize",
     "BATCH_BYTES",
+    "COPY",
     "DEAD",
     "scan_entry",
 ]
@@ -132,6 +140,17 @@ _SET_RAW = LazyText._raw.__set__
 #: the scanner validates it and delivers a ``Skipped`` instead of tokens.
 DEAD = object()
 
+#: Child-row marker of an entry whose whole subtree the consumer copies
+#: verbatim: the scanner validates it and delivers one ``Span`` of its
+#: canonical text, or — when it cannot — the element LIVE.
+COPY = object()
+
+#: Character data the serializer would not write back byte for byte: an
+#: entity reference (``&``) or a ``>`` it escapes.
+_NEEDS_ESCAPE = re.compile(rb"[&>]").search
+#: The same for attribute values, which may also hold a raw ``<``.
+_VALUE_NEEDS_ESCAPE = re.compile(rb"[&<>]").search
+
 
 def scan_entry(
     name_key: bytes,
@@ -153,7 +172,9 @@ def scan_entry(
        :class:`StartTag`;
     5. the row the element's children are looked up in — ``None`` means
        LIVE: nothing below is consulted, the tokenizer's own tag table
-       serves the whole subtree;
+       serves the whole subtree; :data:`COPY` means the subtree is
+       delivered as one :class:`~repro.xmlio.tokens.Span` (LIVE when the
+       scanner cannot copy it);
     6. the guide row this entry lives in (restored when the element
        closes) — ``None`` for the tokenizer's own table;
     7. whether character data directly inside the element is dead.
@@ -163,7 +184,7 @@ def scan_entry(
     or :data:`DEAD` in place of an entry.
     """
     tag = intern(name_key.decode("utf-8"))
-    live = child_row is None and parent_row is not None
+    live = (child_row is None or child_row is COPY) and parent_row is not None
     return (
         None if live else name_key + b">",
         len(name_key) + 1,
@@ -174,6 +195,11 @@ def scan_entry(
         parent_row,
         text_dead,
     )
+
+
+def _recanonical(raw: bytes) -> bytes:
+    """Character data as the serializer writes it: unescaped, re-escaped."""
+    return escape_text(unescape_text(raw.decode("utf-8"))).encode("utf-8")
 
 
 def _ws_only(raw: bytes) -> bool:
@@ -283,7 +309,9 @@ class XMLTokenizer:
         skipped) and ``miss(row, name)`` fills and returns the entry of a
         tag a row has not seen — a :func:`scan_entry` or :data:`DEAD`.
         Dead subtrees are validated like any other input but delivered as
-        :class:`~repro.xmlio.tokens.Skipped` counts instead of tokens.
+        :class:`~repro.xmlio.tokens.Skipped` counts instead of tokens.  A
+        guide whose entries say :data:`COPY` also provides
+        ``copy_failed()``, called whenever such a subtree arrives LIVE.
     """
 
     def __init__(
@@ -327,6 +355,8 @@ class XMLTokenizer:
         # ``_end_tags`` caches the slow end-tag path (whitespace spellings).
         self._start_tags: dict[bytes, tuple] = {}
         self._end_tags: dict[bytes, EndTag] = {}
+        # ``b"</name>"`` per bare tag name met inside copied subtrees.
+        self._copy_closers: dict[bytes, bytes] = {}
         # The row start tags are looked up in right now: a guide row while
         # the guide tracks the open element, else the tokenizer's own.
         self._guide = guide
@@ -436,6 +466,7 @@ class XMLTokenizer:
         lazy_cls = LazyText
         set_raw = _SET_RAW
         dead = DEAD
+        copy = COPY
         try:
             if self._dead_depth:
                 # The previous batch ended inside a dead subtree.
@@ -619,6 +650,17 @@ class XMLTokenizer:
                         # LIVE: no row is consulted until the element closes.
                         child_row = live_row
                         guided = self_closing
+                    elif child_row is copy:
+                        # Deliver the subtree as one Span, scanned from its
+                        # ``<``; when it cannot be copied, LIVE from there.
+                        copied = self._scan_copy(pos)
+                        data = self._data
+                        find = data.find
+                        if copied >= 0:
+                            pos = copied
+                            continue
+                        child_row = live_row
+                        guided = self_closing
                 pos = end + 1
                 append(entry[4])
                 if attributes and self._convert_attributes:
@@ -790,6 +832,251 @@ class XMLTokenizer:
                 self._out.append(Skipped(tokens, dropped, roots))
         return pos
 
+    def _scan_copy(self, pos: int) -> int:
+        """Deliver the subtree at ``pos`` as one :class:`Span`, or bail.
+
+        Entered at the ``<`` of a start tag whose entry is :data:`COPY`.
+        The subtree is validated like a dead one, and what the serializer
+        would write for its tokens is assembled as it goes: a run of input
+        that is already in that canonical form stays one slice, and only
+        what is not — ``<a></a>`` (written ``<a/>``), attributes (leading
+        subelements, values unescaped and re-escaped), text holding ``&``
+        or ``>``, CDATA, whitespace inside tags — is rewritten; comments,
+        processing instructions and whitespace-only text are dropped.
+
+        Returns the position behind the subtree, with the :class:`Span`
+        appended to the batch, or -1 when the subtree cannot be copied: a
+        tag or attribute named like the subtree's root (a possible nested
+        match the consumer must see), a syntax error, invalid UTF-8, or no
+        close within one batch budget.  Nothing is consumed then; the
+        caller delivers the element LIVE from ``pos``, so every error keeps
+        its message, offset and place in the stream.  Each byte is thus
+        scanned at most twice, and a span never outgrows one batch.
+        """
+        data = self._data
+        find = data.find
+        limit = pos + self._batch_bytes
+        strip_ws = self._strip_whitespace
+        known = self._copy_closers
+        parts: list[bytes] = []  # canonical output, in order
+        put = parts.append
+        run = pos  # start of the verbatim run not yet in ``parts``
+        closers: list[bytes] = []  # ``b"</name>"`` of the open elements
+        root = None  # the subtree root's name: a nested match to avoid
+        tokens = 0
+        # Length of the canonical ``<name>`` just written while nothing has
+        # followed it yet: an end tag now collapses the pair into ``<name/>``.
+        pending = 0
+        try:
+            while pos <= limit:
+                try:
+                    first_byte = data[pos]
+                except IndexError:
+                    if not self._refill():
+                        break
+                    data = self._data
+                    find = data.find
+                    continue
+                if first_byte != _LT:
+                    end = find(b"<", pos)
+                    if end == -1:
+                        end = self._find_text_end(len(data))
+                        data = self._data
+                        find = data.find
+                    if (
+                        strip_ws
+                        and (first_byte < 33 or first_byte >= 0xC2)
+                        and _ws_only(data[pos:end])
+                    ):
+                        if run < pos:
+                            put(data[run:pos])
+                        run = pos = end
+                        continue
+                    tokens += 1
+                    pending = 0
+                    if _NEEDS_ESCAPE(data, pos, end) is not None:
+                        if run < pos:
+                            put(data[run:pos])
+                        put(_recanonical(data[pos:end]))
+                        run = end
+                    pos = end
+                    continue
+                try:
+                    second = data[pos + 1]
+                except IndexError:
+                    self._pos = pos
+                    second = self._second_byte(pos)
+                    data = self._data
+                    find = data.find
+                if second == _SLASH:
+                    closer = closers[-1]
+                    skip = len(closer)
+                    if data[pos : pos + skip] == closer:
+                        end = pos + skip
+                        rewrite = False
+                    else:
+                        end = find(b">", pos)
+                        if end == -1:
+                            end = self._tag_end(pos, "end")
+                            data = self._data
+                            find = data.find
+                        if data[pos + 2 : end].strip() != closer[2:-1]:
+                            break  # mismatched or empty: LIVE reports it
+                        end += 1
+                        rewrite = True
+                    closers.pop()
+                    tokens += 1
+                    if pending:
+                        # ``<name>`` is the last thing written: the tail of
+                        # the verbatim run, or else of the last part.
+                        if run < pos:
+                            if run < pos - pending:
+                                put(data[run : pos - pending])
+                        else:
+                            parts[-1] = parts[-1][:-pending]
+                        put(b"<" + closer[2:-1] + b"/>")
+                        run = end
+                        pending = 0
+                    elif rewrite:
+                        if run < pos:
+                            put(data[run:pos])
+                        put(closer)
+                        run = end
+                    pos = end
+                elif second == _BANG or second == _QMARK:
+                    end, content = self._skip_markup(pos)
+                    data = self._data
+                    find = data.find
+                    if run < pos:
+                        put(data[run:pos])
+                    run = end
+                    if content is not None and not (
+                        strip_ws and _ws_only(content)
+                    ):
+                        tokens += 1
+                        pending = 0
+                        put(escape_text(content.decode("utf-8")).encode("utf-8"))
+                    pos = end
+                    continue
+                else:
+                    end = find(b">", pos)
+                    if end == -1:
+                        end = self._tag_end(pos, "start")
+                        data = self._data
+                        find = data.find
+                    if data[end - 1] == _SLASH:
+                        self_closing = True
+                        body = data[pos + 1 : end - 1]
+                    else:
+                        self_closing = False
+                        body = data[pos + 1 : end]
+                    tokens += 1
+                    pending = 0
+                    # A bare name, written as is: ``known`` holds the closer
+                    # of each one seen (a hit proves the body bare).
+                    closer = known.get(body)
+                    if closer is None and body and _WS_SEARCH(body) is None:
+                        closer = known[body] = b"</" + body + b">"
+                    if closer is not None:
+                        if root is None:
+                            root = body
+                        elif body == root:
+                            break  # a nested match: the consumer must see it
+                        start = pos
+                        pos = end + 1
+                        if self_closing:
+                            tokens += 1
+                        else:
+                            # Leaf fast path: ``<name>text</name>`` in one
+                            # step, no push, no pop.
+                            skip = len(closer)
+                            end = find(b"<", pos)
+                            if end == -1 or data[end : end + skip] != closer:
+                                closers.append(closer)
+                                pending = skip - 1
+                            else:
+                                tokens += 1
+                                if end > pos and not (
+                                    strip_ws
+                                    and (data[pos] < 33 or data[pos] >= 0xC2)
+                                    and _ws_only(data[pos:end])
+                                ):
+                                    tokens += 1
+                                    if _NEEDS_ESCAPE(data, pos, end) is not None:
+                                        if run < pos:
+                                            put(data[run:pos])
+                                        put(_recanonical(data[pos:end]))
+                                        run = end
+                                else:  # no content: written ``<name/>``
+                                    if run < start:
+                                        put(data[run:start])
+                                    put(b"<" + body + b"/>")
+                                    run = end + skip
+                                pos = end + skip
+                    else:
+                        name, attributes = self._parse_tag_body(body, pos)
+                        if root is None:
+                            root = name
+                        elif name == root:
+                            break
+                        rewritten = self._canonical_start(name, attributes, root)
+                        if rewritten is None:
+                            break
+                        tag, attribute_tokens = rewritten
+                        tokens += attribute_tokens
+                        if run < pos:
+                            put(data[run:pos])
+                        run = end + 1
+                        if self_closing:
+                            tokens += 1
+                            if attribute_tokens:
+                                put(tag + b"</" + name + b">")
+                            else:
+                                put(b"<" + name + b"/>")
+                        else:
+                            put(tag)
+                            closers.append(b"</" + name + b">")
+                            if not attribute_tokens:
+                                pending = len(name) + 2
+                        pos = end + 1
+                if not closers:
+                    # The root closed: a span, unless it outgrew the batch.
+                    if pos > limit:
+                        break
+                    if run < pos:
+                        put(data[run:pos])
+                    self._out.append(Span(b"".join(parts).decode("utf-8"), tokens))
+                    return pos
+        except (XMLSyntaxError, UnicodeDecodeError):
+            pass
+        # Budget spent, input ended, or a bail above: nothing consumed.
+        self._guide.copy_failed()
+        return -1
+
+    def _canonical_start(
+        self, name: bytes, attributes: list, root: bytes
+    ) -> "tuple[bytes, int] | None":
+        """A rewritten start tag as the serializer writes it — attributes
+        as leading subelements — and the tokens those add; ``None`` when it
+        cannot be copied (an attribute named like the root would be a
+        nested match; an empty or spaced name has no canonical form)."""
+        if not self._convert_attributes:
+            return b"<" + name + b">", 0
+        chunks = [b"<", name, b">"]
+        tokens = 0
+        for attr_name, value in attributes:
+            if attr_name == root or not attr_name or _WS_SEARCH(attr_name):
+                return None
+            if value:
+                tokens += 3
+                if _VALUE_NEEDS_ESCAPE(value) is not None:
+                    value = _recanonical(value)
+                chunks += (b"<", attr_name, b">", value, b"</", attr_name, b">")
+            else:
+                tokens += 2
+                chunks += (b"<", attr_name, b"/>")
+        return b"".join(chunks), tokens
+
     def _miss(self, row: dict, name_key: bytes):
         """The entry of a tag ``row`` has not seen yet (filled in)."""
         if row is self._start_tags:
@@ -814,6 +1101,9 @@ class XMLTokenizer:
             if entry is DEAD:
                 append(Skipped(3, 2, 1) if attr_value else Skipped(2, 1, 1))
                 continue
+            if entry[5] is COPY:
+                # A match spelled as an attribute has no subtree to copy.
+                self._guide.copy_failed()
             append(entry[4])
             if attr_value:
                 append(Skipped(1, 1, 0) if entry[7] else LazyText(attr_value))

@@ -27,7 +27,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Iterator
 
-from repro.xmlio.tokens import EndTag, StartTag, Text, Token, escape_text
+from repro.xmlio.lexer import tokenize
+from repro.xmlio.tokens import EndTag, Span, StartTag, Text, Token, escape_text
 
 __all__ = [
     "serialize_tokens",
@@ -105,6 +106,15 @@ class IncrementalSerializer:
             if escaped:
                 self._started = True
             return fragment + escaped
+        if isinstance(token, Span):
+            # A subtree the scanner already wrote in this serializer's
+            # canonical form; pretty-printing replays its tokens instead
+            # (whitespace kept: a span only holds what the output has).
+            if self._indent is not None:
+                replayed = tokenize(token.text, strip_whitespace=False)
+                return "".join(map(self.feed, replayed))
+            self._started = True
+            return self._release_pending() + token.text
         raise TypeError(f"cannot serialize {token!r}")
 
     def flush(self) -> str:

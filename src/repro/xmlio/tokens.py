@@ -34,6 +34,7 @@ __all__ = [
     "LazyText",
     "LazyCData",
     "Skipped",
+    "Span",
     "text_decode_count",
     "token_stream_to_string",
 ]
@@ -181,6 +182,32 @@ class Skipped(Token):
 
     def __str__(self) -> str:
         return ""
+
+
+@dataclass(frozen=True, slots=True)
+class Span(Token):
+    """A whole output subtree the guided scanner copied as text.
+
+    Emitted in place of a match subtree when the scan guide's row says
+    COPY (the schema-certified direct runner's ``{$x}`` bodies, see "The
+    COPY row" in docs/PERFORMANCE.md).  ``text`` is exactly what the
+    serializers would have written for the replaced tokens — so a sink
+    appends it verbatim, and ``str(span) == span.text`` — and
+    ``tokenize(span.text)`` gives those tokens back.  The round trip is
+    exact up to how character data is cut: text the document split with
+    a comment or CDATA boundary comes back as one token, an empty CDATA
+    section as none, and a whitespace-only attribute value only under
+    ``strip_whitespace=False``.  A span never spans more than one scan
+    batch.
+    """
+
+    #: The canonical serialization of the subtree.
+    text: str
+    #: Tokens the unguided stream would have delivered for the subtree.
+    tokens: int
+
+    def __str__(self) -> str:
+        return self.text
 
 
 def escape_text(content: str) -> str:

@@ -147,8 +147,12 @@ class TestInterrupt:
         with SessionPool("<o>{for $x in //a return $x}</o>", schema=schema) as pool:
             stream = pool.run_streaming(document, interrupt=interrupt)
             assert isinstance(stream._preprojector, DirectEvaluator)
-            "".join(stream.serialized())
-        assert calls == sum(1 for _ in tokenize(document))  # unguided
+            output = "".join(stream.serialized())
+        # The direct runner's chain guide copies each match: <r>, one Span
+        # per <a>, </r> — once per delivered item, not per token read.
+        assert output == "<o><a><b>one</b></a><a/></o>"
+        assert calls == 4 < stream.result.stats.tokens_read == 9
+        assert stream.result.stats.tokens_copied == 7
 
     def test_raising_aborts_the_run_and_releases_the_checkout(self):
         class Stop(Exception):

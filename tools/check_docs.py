@@ -72,6 +72,7 @@ PERFORMANCE_TERMS = (
     "BATCH_BYTES",
     "INLINE_PASS_BYTES",
     "Skipped",
+    "Span",
     "text_decode_count",
     "_reference_lexer",
     "_str_lexer",
