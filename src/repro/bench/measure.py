@@ -71,13 +71,15 @@ def measure(
         return result
     if with_tracemalloc:
         tracemalloc.start()
-    started = time.perf_counter()
-    run = engine.run(compiled, document)
-    result.seconds = time.perf_counter() - started
-    if with_tracemalloc:
-        _current, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        result.tracemalloc_peak = peak
+    try:
+        started = time.perf_counter()
+        run = engine.run(compiled, document)
+        result.seconds = time.perf_counter() - started
+        if with_tracemalloc:
+            _current, result.tracemalloc_peak = tracemalloc.get_traced_memory()
+    finally:
+        if with_tracemalloc:
+            tracemalloc.stop()
     result.hwm_bytes = run.hwm_bytes
     result.hwm_nodes = run.hwm_nodes
     result.output_bytes = len(run.output.encode())

@@ -35,7 +35,7 @@ from repro.bench import (
     run_table1,
     shape_report,
 )
-from repro.xmark import generate_xmark
+from repro.xmark import XMARK_QUERIES, generate_xmark
 from repro.xquery import unparse
 
 __all__ = ["main"]
@@ -200,9 +200,13 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     tab_p = sub.add_parser("table1", help="reproduce the paper's Table 1")
-    tab_p.add_argument("--sizes", default="256k,512k,1m,2m")
-    tab_p.add_argument("--engines", default=",".join(sorted(ENGINES)))
-    tab_p.add_argument("--queries", default="Q1,Q6,Q8,Q13,Q20")
+    tab_p.add_argument("--sizes", type=_sizes, default="256k,512k,1m,2m")
+    tab_p.add_argument(
+        "--engines", type=_names(ENGINES, "engine"), default=",".join(sorted(ENGINES))
+    )
+    tab_p.add_argument(
+        "--queries", type=_names(XMARK_QUERIES, "query"), default="Q1,Q6,Q8,Q13,Q20"
+    )
     tab_p.add_argument("--budget", type=float, default=120.0)
     tab_p.add_argument("--seed", type=int, default=42)
 
@@ -213,7 +217,9 @@ def main(argv: list[str] | None = None) -> int:
 
     abl_p = sub.add_parser("ablations", help="Section 6 optimization ablations")
     abl_p.add_argument("--scale", type=float, default=0.002)
-    abl_p.add_argument("--queries", default="Q1,Q13,Q20")
+    abl_p.add_argument(
+        "--queries", type=_names(XMARK_QUERIES, "query"), default="Q1,Q13,Q20"
+    )
     abl_p.add_argument(
         "--schema",
         metavar="PATH",
@@ -242,9 +248,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "ablations":
         return _cmd_ablations(args)
     if args.command == "dtd":
-        from repro.xmark.dtd import render_dtd
+        from repro.xmark.schema import xmark_schema
 
-        print(render_dtd(), end="")
+        print(xmark_schema().to_dtd(), end="")
         return 0
     return 2
 
@@ -480,11 +486,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    sizes = tuple(_parse_size(token) for token in args.sizes.split(","))
     config = HarnessConfig(
-        sizes_bytes=sizes,
-        engines=tuple(args.engines.split(",")),
-        queries=tuple(args.queries.split(",")),
+        sizes_bytes=args.sizes,
+        engines=args.engines,
+        queries=args.queries,
         seed=args.seed,
         cell_budget_seconds=args.budget,
     )
@@ -516,12 +521,9 @@ def _cmd_xmark(args) -> int:
 
 def _cmd_ablations(args) -> int:
     from repro.bench.ablation import format_ablations, run_ablations
-    from repro.xmark import XMARK_QUERIES, generate_xmark
 
     document = generate_xmark(args.scale, seed=42)
-    queries = {
-        name: XMARK_QUERIES[name].adapted for name in args.queries.split(",")
-    }
+    queries = {name: XMARK_QUERIES[name].adapted for name in args.queries}
     if args.schema == "xmark":
         from repro.xmark.schema import xmark_schema
 
@@ -533,14 +535,41 @@ def _cmd_ablations(args) -> int:
     return 0
 
 
+def _names(known, what: str):
+    """An argparse ``type``: comma-separated names, each one of ``known``."""
+
+    def parse(text: str) -> tuple[str, ...]:
+        names = tuple(name.strip() for name in text.split(","))
+        unknown = [name for name in names if name not in known]
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"unknown {what} {', '.join(unknown)} "
+                f"(choose from {', '.join(sorted(known))})"
+            )
+        return names
+
+    return parse
+
+
+def _sizes(text: str) -> tuple[int, ...]:
+    """An argparse ``type``: comma-separated byte sizes like ``256k,1m``."""
+    return tuple(_parse_size(token) for token in text.split(","))
+
+
 def _parse_size(token: str) -> int:
-    token = token.strip().lower()
+    number = token.strip().lower()
     factor = 1
-    if token.endswith("k"):
-        factor, token = 1_000, token[:-1]
-    elif token.endswith("m"):
-        factor, token = 1_000_000, token[:-1]
-    return int(float(token) * factor)
+    if number.endswith("k"):
+        factor, number = 1_000, number[:-1]
+    elif number.endswith("m"):
+        factor, number = 1_000_000, number[:-1]
+    try:
+        size = int(float(number) * factor)
+    except (ValueError, OverflowError):
+        raise argparse.ArgumentTypeError(f"invalid size {token!r}") from None
+    if size <= 0:
+        raise argparse.ArgumentTypeError(f"size must be positive: {token!r}")
+    return size
 
 
 if __name__ == "__main__":

@@ -74,8 +74,8 @@ class MultiRunStats:
     """Telemetry of one shared pass over one document.
 
     ``tokens_read`` is the single-scan count — the number of tokens read
-    from the input, *not* multiplied by the number of queries; the
-    benchmark gate asserts it equals one document scan.  ``lane_tokens``
+    from the input, *not* multiplied by the number of queries; the tests
+    assert it equals one document scan.  ``lane_tokens``
     is each query's routed share of that scan, so
     ``sum(lane_tokens.values())`` against ``tokens_read * query_count``
     quantifies what the bitmask routing saved.  ``tokens_skipped`` is the

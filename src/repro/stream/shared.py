@@ -5,7 +5,7 @@ tokenizer into one :class:`~repro.stream.preprojector.ProjectionLane`,
 :class:`SharedPreprojector` pumps one tokenizer into N lanes — the
 runtime half of the multi-query engine (:mod:`repro.engine.multi`).  The
 document is tokenized exactly once (``tokens_read`` counts the single
-scan, the invariant the benchmark gate asserts); each surviving token is
+scan, the invariant the tests assert); each surviving token is
 routed to the subset of lanes that still care about it.
 
 Routing maintains the *live bitmask* the union projection tree

@@ -1,6 +1,5 @@
 """XMark substrate: schema, deterministic generator, adapted queries."""
 
-from repro.xmark.dtd import DTDViolation, render_dtd, schema_tags, validate_document
 from repro.xmark.generator import XMarkConfig, generate_xmark, xmark_scale_for_bytes
 from repro.xmark.queries import TABLE1_QUERIES, XMARK_QUERIES, XMarkQuery
 from repro.xmark.schema import ELEMENT_CHILDREN, REGIONS, SCALE_BASE, validate_order
@@ -16,8 +15,4 @@ __all__ = [
     "REGIONS",
     "SCALE_BASE",
     "validate_order",
-    "render_dtd",
-    "schema_tags",
-    "validate_document",
-    "DTDViolation",
 ]

@@ -46,12 +46,11 @@ and decoding is deferred to the consumers that actually need characters:
 
 Positions (``XMLSyntaxError.position``) are document-absolute **byte**
 offsets; ``.line``/``.column`` are computed lazily from the offending
-window on first access.  The pre-batching implementation is preserved
-verbatim in :mod:`repro.xmlio._reference_lexer` and the pre-bytes batch
-lexer in :mod:`repro.xmlio._str_lexer`; differential tests assert all
-three emit identical token streams (and that a guided stream, with every
-``Skipped`` expanded, is the unguided one), and the CI perf gate tracks
-the speedups.
+window on first access.  The pre-batching implementation is kept as a
+test oracle under ``tests/xmlio/``; differential tests assert both emit
+identical token streams (and that a guided stream, with every
+``Skipped`` expanded, is the unguided one).  The repository's benchmark
+(``benchmarks/ledger``) tracks the scanner's throughput.
 
 Supported XML subset
 --------------------

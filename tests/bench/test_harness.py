@@ -1,5 +1,7 @@
 """Benchmark harness tests (small sizes so they run in seconds)."""
 
+import tracemalloc
+
 import pytest
 
 from repro.bench import (
@@ -13,6 +15,7 @@ from repro.bench import (
     run_table1,
     shape_report,
 )
+from repro.xmlio import XMLSyntaxError
 
 
 class TestMeasure:
@@ -36,6 +39,18 @@ class TestMeasure:
             with_tracemalloc=True,
         )
         assert cell.tracemalloc_peak is not None and cell.tracemalloc_peak > 0
+        assert not tracemalloc.is_tracing()
+
+    def test_tracemalloc_stops_when_the_run_raises(self):
+        """A failing run must not leave every later measurement traced."""
+        with pytest.raises(XMLSyntaxError):
+            measure(
+                "gcx",
+                "<o>{for $a in /r/a return $a}</o>",
+                "<r><a></r>",
+                with_tracemalloc=True,
+            )
+        assert not tracemalloc.is_tracing()
 
     def test_streaming_engines_report_first_output_latency(self):
         cell = measure("gcx", "<o>{for $a in /r/a return $a}</o>", "<r><a>1</a></r>")

@@ -5,6 +5,7 @@ from __future__ import annotations
 from repro.buffer import BufferTree
 from repro.buffer.buffer import FREE_LIST_CAP
 from repro.engine.session import QuerySession
+from repro.xmark.queries import XMARK_QUERIES
 
 
 class TestRecycling:
@@ -67,6 +68,13 @@ class TestRecycling:
         session.run(xmark_doc_small)  # warm the slab
         result = session.run(xmark_doc_small)
         stats = result.stats
+        assert stats.nodes_created > 50
+        assert stats.nodes_recycled / stats.nodes_created > 0.9
+
+    def test_warm_xmark_q1_session_recycles_nearly_everything(self, xmark_doc_small):
+        session = QuerySession(XMARK_QUERIES["Q1"].adapted)
+        session.run(xmark_doc_small)  # warm the slab
+        stats = session.run(xmark_doc_small).stats
         assert stats.nodes_created > 50
         assert stats.nodes_recycled / stats.nodes_created > 0.9
 

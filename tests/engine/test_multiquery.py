@@ -27,6 +27,8 @@ from repro.xmlio.lexer import tokenize
 
 GOLDENS = Path(__file__).parent / "goldens"
 QUERY_NAMES = sorted(XMARK_QUERIES)
+#: The K=8 standing mix: the golden queries minus Q5.
+STANDING_MIX = [name for name in QUERY_NAMES if name != "Q5"]
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +110,20 @@ class TestSingleScanInvariant:
         assert stats.lane_tokens["Q6"] < stats.tokens_read
         assert stats.routing_savings > 0
         assert stats.dispatched_tokens == sum(stats.lane_tokens.values())
+
+    def test_standing_mix_routes_under_half_of_the_tokens(self, document):
+        """Lane dispatches stay under half of feeding every token of the
+        scan to every one of the K=8 queries."""
+        session = MultiQuerySession(
+            {name: XMARK_QUERIES[name].adapted for name in STANDING_MIX}
+        )
+        stream = session.run_streaming(document)
+        for _pair in stream:
+            pass
+        stats = stream.stats
+        assert stats.query_count == len(STANDING_MIX) == 8
+        route_share = stats.dispatched_tokens / (stats.tokens_read * stats.query_count)
+        assert route_share < 0.5
 
 
 class TestRunMachinery:

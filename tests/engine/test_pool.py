@@ -16,8 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.bench.concurrency import serving_documents
-from repro.engine import QuerySession, SessionPool
+from repro.engine import GCXEngine, QuerySession, SessionPool
 from repro.engine.pool import PoolResult
 from repro.xmark.queries import XMARK_QUERIES
 from repro.xmlio import StringSink
@@ -30,6 +29,28 @@ STRESS_DOCUMENTS = 32
 Q1 = XMARK_QUERIES["Q1"].adapted
 
 
+def serving_documents(count: int) -> list[str]:
+    """Small, distinct, deterministic request documents (a few hundred B),
+    shaped like XMark ``/site`` fragments so Q1 matches."""
+    documents = []
+    for i in range(count):
+        people = "".join(
+            f"<person><id>person{j}</id><name>N{i}-{j}</name>"
+            f"<emailaddress>p{j}@x.example</emailaddress></person>"
+            for j in range(i % 7 % 3 + 1)
+        )
+        items = "".join(
+            f"<item><id>i{i}-{k}</id><name>T{k}</name></item>"
+            for k in range(i % 4)
+        )
+        documents.append(
+            f"<site><people>{people}</people>"
+            f"<regions><africa>{items}</africa></regions>"
+            f"<closed_auctions/></site>"
+        )
+    return documents
+
+
 class TestStress:
     def test_pool_output_byte_identical_to_sequential(self):
         """N threads x M documents == sequential QuerySession, byte for byte."""
@@ -39,6 +60,16 @@ class TestStress:
         with SessionPool(Q1, max_workers=STRESS_WORKERS) as pool:
             results = list(pool.map(docs))
         assert [r.output for r in results] == expected
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_chunked_map_matches_cold_engine_runs(self, workers):
+        """Every pool width serves the batch exactly as cold engine runs."""
+        docs = serving_documents(64)
+        engine = GCXEngine()
+        expected = [engine.run(Q1, doc).output for doc in docs]
+        with SessionPool(Q1, max_workers=workers) as pool:
+            outputs = [r.output for r in pool.map(docs, chunksize=4)]
+        assert outputs == expected
 
     def test_stress_via_submit_futures(self):
         docs = serving_documents(STRESS_DOCUMENTS)

@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 from repro.serve.testing import ServerFixture
-from repro.xmark.dtd import render_dtd
 from repro.xmark.queries import XMARK_QUERIES
+from repro.xmark.schema import xmark_schema
 
 GOLDENS = Path(__file__).parent.parent / "engine" / "goldens"
 
@@ -37,7 +37,7 @@ class TestRegisterWithSchema:
         with fixture.client(timeout=60.0) as client:
             assert client.register("plain", query)["type"] == "registered"
             assert (
-                client.register("typed", query, schema=render_dtd())["type"]
+                client.register("typed", query, schema=xmark_schema().to_dtd())["type"]
                 == "registered"
             )
             plain_frags, plain_done = client.eval_collect("plain", document)
@@ -57,8 +57,8 @@ class TestRegisterWithSchema:
         with fixture.client() as client:
             before = fixture.server.standing_queries
             first = client.register("a", query)
-            second = client.register("b", query, schema=render_dtd())
-            third = client.register("c", query, schema=render_dtd())
+            second = client.register("b", query, schema=xmark_schema().to_dtd())
+            third = client.register("c", query, schema=xmark_schema().to_dtd())
             assert fixture.server.standing_queries >= before + 1
             # Same query + same schema hits the cache; differing schema
             # presence does not.

@@ -137,6 +137,27 @@ class TestAblationsCommand:
         assert "identical outputs" in out
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["table1", "--engines", "bogus"], "--engines"),
+        (["table1", "--queries", "Q99"], "--queries"),
+        (["ablations", "--queries", "Q99"], "--queries"),
+        (["table1", "--sizes", "4x"], "--sizes"),
+        (["table1", "--sizes", "0"], "--sizes"),
+    ],
+    ids=["engines-bogus", "table1-Q99", "ablations-Q99", "sizes-4x", "sizes-0"],
+)
+def test_bad_benchmark_arguments_are_usage_errors(argv, option, capsys):
+    """Rejected at parse time with a usage error, never a traceback."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}" in err
+    assert "Traceback" not in err
+
+
 class TestDtdCommand:
     def test_prints_dtd(self, capsys):
         assert main(["dtd"]) == 0

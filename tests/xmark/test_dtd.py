@@ -1,63 +1,64 @@
-"""Tests for the adapted XMark DTD module."""
+"""Tests for the adapted XMark DTD: rendering, tag set and validation."""
 
 import pytest
 
+from repro.analysis.schema import SchemaViolation
 from repro.xmark import generate_xmark
-from repro.xmark.dtd import DTDViolation, render_dtd, schema_tags, validate_document
+from repro.xmark.schema import xmark_schema
 
 
 class TestRenderDtd:
     def test_contains_all_content_models(self):
-        dtd = render_dtd()
+        dtd = xmark_schema().to_dtd()
         assert "<!ELEMENT site (regions, categories, catgraph, people, " in dtd
         assert "<!ELEMENT person (id, name, emailaddress, phone?, " in dtd
 
     def test_occurrence_indicators(self):
-        dtd = render_dtd()
+        dtd = xmark_schema().to_dtd()
         assert "incategory+" in dtd  # one or more
         assert "person*" in dtd  # zero or more
         assert "privacy?" in dtd  # optional
 
     def test_leaves_are_pcdata(self):
-        dtd = render_dtd()
+        dtd = xmark_schema().to_dtd()
         assert "<!ELEMENT price (#PCDATA)>" in dtd
         assert "<!ELEMENT income (#PCDATA)>" in dtd
 
     def test_attributes_are_subelements(self):
         """The adaptation: no ATTLIST anywhere, ids are elements."""
-        dtd = render_dtd()
+        dtd = xmark_schema().to_dtd()
         assert "ATTLIST" not in dtd
         assert "<!ELEMENT id (#PCDATA)>" in dtd
 
 
 class TestSchemaTags:
     def test_contains_structure_and_leaves(self):
-        tags = schema_tags()
+        tags = xmark_schema().tags
         assert {"site", "person", "income", "closed_auction", "text"} <= tags
 
     def test_rejects_unknown(self):
-        assert "not-an-xmark-tag" not in schema_tags()
+        assert "not-an-xmark-tag" not in xmark_schema().tags
 
 
 class TestValidateDocument:
     def test_generated_documents_validate(self):
         document = generate_xmark(0.0008, seed=31)
-        checked = validate_document(document)
+        checked = xmark_schema().validate_document(document)
         assert checked > 100
 
     def test_unknown_element_rejected(self):
-        with pytest.raises(DTDViolation):
-            validate_document("<site><wat/></site>")
+        with pytest.raises(SchemaViolation):
+            xmark_schema().validate_document("<site><wat/></site>")
 
     def test_unknown_element_message(self):
         # Put the unknown tag where the parent's model tolerates scanning.
-        with pytest.raises(DTDViolation):
-            validate_document("<wat/>")
+        with pytest.raises(SchemaViolation):
+            xmark_schema().validate_document("<wat/>")
 
     def test_order_violation_rejected(self):
         # categories before regions violates site's content model.
-        with pytest.raises(DTDViolation, match="content model"):
-            validate_document(
+        with pytest.raises(SchemaViolation, match="content model"):
+            xmark_schema().validate_document(
                 "<site><categories/><regions/><catgraph/><people/>"
                 "<open_auctions/><closed_auctions/></site>"
             )
@@ -67,8 +68,8 @@ class TestValidateDocument:
             "<site><regions><africa><item><id><nested/></id></item></africa>"
             "<asia/><australia/><europe/><namerica/><samerica/></regions>"
         )
-        with pytest.raises(DTDViolation):
-            validate_document(doc + _site_tail())
+        with pytest.raises(SchemaViolation):
+            xmark_schema().validate_document(doc + _site_tail())
 
 
 def _site_tail() -> str:

@@ -1,16 +1,12 @@
 """The pre-optimization tokenizer, kept verbatim as a differential oracle.
 
 This is the character-stepping tokenizer that :mod:`repro.xmlio.lexer`
-replaced with a chunk-scanning implementation.  It is retained for two
-purposes only:
+replaced with a chunk-scanning implementation.  It lives under ``tests/``
+and serves one purpose: the differential tests assert that the shipped
+tokenizer emits a byte-identical token stream over the XMark corpus,
+adversarial inputs and hypothesis-generated documents
+(``tests/xmlio/test_differential_lexer.py``).
 
-* the differential tests assert that the optimized tokenizer emits a
-  byte-identical token stream over the XMark corpus, adversarial inputs and
-  hypothesis-generated documents (``tests/xmlio/test_differential_lexer.py``);
-* the performance baseline measures the optimized tokenizer's speedup
-  against it (``repro.bench.baseline``), which the CI perf gate enforces.
-
-It must not be used by the engine; import :mod:`repro.xmlio.lexer` instead.
 The class and function names carry a ``Reference`` prefix so the two
 implementations cannot be confused at call sites.
 """

@@ -13,7 +13,7 @@ three new ways to be wrong that the str lexer could not exhibit:
   unescape (:func:`repro.xmlio.tokens.text_decode_count`).
 
 Every differential assertion here compares against the frozen
-char-stepping oracle in :mod:`repro.xmlio._reference_lexer`.
+char-stepping oracle in :mod:`tests.xmlio._reference_lexer`.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ from hypothesis import strategies as st
 
 from repro.engine import GCXEngine
 from repro.xmlio import text_decode_count
-from repro.xmlio._reference_lexer import reference_tokenize
 from repro.xmlio.filelexer import FileTokenizer
 from repro.xmlio.lexer import XMLSyntaxError, XMLTokenizer, tokenize
 from repro.xmlio.tokens import Text
+
+from tests.xmlio._reference_lexer import reference_tokenize
 
 # Code points of every UTF-8 sequence length: 1 (ASCII), 2 (é), 3 (日,
 # and the em-dash that lives inside attribute values), 4 (😀).

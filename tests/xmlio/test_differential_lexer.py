@@ -2,7 +2,7 @@
 
 The optimized tokenizer (:mod:`repro.xmlio.lexer`) must emit a token stream
 byte-identical to the pre-optimization implementation preserved in
-:mod:`repro.xmlio._reference_lexer`, over the XMark corpus, adversarial
+:mod:`tests.xmlio._reference_lexer`, over the XMark corpus, adversarial
 constructs (CDATA spanning chunk boundaries, entities, bachelor tags), and
 hypothesis-generated documents — in every flag combination and for the
 file-backed chunked variant at many chunk sizes.
@@ -17,11 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.xmark import generate_xmark
-from repro.xmlio._reference_lexer import ReferenceTokenizer, reference_tokenize
 from repro.xmlio.filelexer import FileTokenizer
 from repro.xmlio.lexer import XMLSyntaxError, tokenize
 
 from tests.properties.strategies import documents
+from tests.xmlio._reference_lexer import ReferenceTokenizer, reference_tokenize
 
 ADVERSARIAL_DOCUMENTS = [
     # CDATA with markup-looking payload (and split by any chunk boundary).

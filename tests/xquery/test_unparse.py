@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.xmark import XMARK_QUERIES
 from repro.xquery import parse_expr, parse_query, unparse
 from repro.xquery.unparse import unparse_condition
 
@@ -34,6 +35,11 @@ class TestRoundtrip:
         rendered = unparse(first)
         second = parse_expr(rendered)
         assert first == second, f"{text!r} -> {rendered!r}"
+
+    @pytest.mark.parametrize("name", sorted(XMARK_QUERIES))
+    def test_xmark_query_roundtrip(self, name):
+        query = parse_query(XMARK_QUERIES[name].adapted)
+        assert parse_query(unparse(query)) == query
 
     def test_query_roundtrip(self):
         query = parse_query("<r>{for $b in /bib return $b/title}</r>")

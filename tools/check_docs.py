@@ -8,9 +8,9 @@ Four checks, all stdlib-only:
 3. the ``$``-prefixed shell lines inside README.md's fenced ``console``
    blocks are smoke-executed in a temporary directory, with ``gcx``
    resolved to ``python -m repro.cli`` — so the quickstart cannot rot;
-4. docs/PERFORMANCE.md stays in sync with the hot path it describes:
-   every hard-floored metric in ``repro.bench.baseline.FLOORS`` (with
-   its floor value) and every tokenizer tuning knob must be mentioned.
+4. docs/PERFORMANCE.md stays in sync with the benchmark and the hot path
+   it describes: every workload and every end-to-end metric declared in
+   ``BENCHMARK.json``, and every tokenizer tuning knob, must be mentioned.
 
 Exit status 0 when everything passes; each failure is reported and the
 script exits 1.
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import json
 import os
 import re
 import shlex
@@ -65,9 +66,9 @@ def check_module_docstrings() -> list[str]:
 
 
 #: Names the hot-path section of docs/PERFORMANCE.md must keep mentioning
-#: (beyond the FLOORS metrics, which are cross-checked from the code):
-#: the lexer's batch budget, the scan-time projection vocabulary and the
-#: serve layer's route cap.
+#: (beyond the BENCHMARK.json names, which are cross-checked from the
+#: file): the lexer's batch budget, the scan-time projection vocabulary,
+#: the serve layer's route cap and the tokenizer's differential oracle.
 PERFORMANCE_TERMS = (
     "BATCH_BYTES",
     "INLINE_PASS_BYTES",
@@ -75,30 +76,28 @@ PERFORMANCE_TERMS = (
     "Span",
     "text_decode_count",
     "_reference_lexer",
-    "_str_lexer",
 )
 
 
 def check_performance_doc() -> list[str]:
-    """docs/PERFORMANCE.md must track the code's floors and tuning knobs."""
+    """docs/PERFORMANCE.md must track BENCHMARK.json and the tuning knobs."""
     path = REPO / "docs/PERFORMANCE.md"
     if not path.is_file():
         return []  # check_docs_exist already reports the absence
     text = path.read_text(encoding="utf-8")
     failures = []
-    sys.path.insert(0, str(SRC))
-    from repro.bench.baseline import FLOORS
-
-    for name, floor in sorted(FLOORS.items()):
-        if name not in text:
-            failures.append(
-                f"docs/PERFORMANCE.md does not mention the floored metric {name!r}"
-            )
-        elif f"{floor:g}" not in text:
-            failures.append(
-                f"docs/PERFORMANCE.md does not state the floor {floor:g} "
-                f"for {name!r} (FLOORS changed without a docs update?)"
-            )
+    benchmark = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    for kind, entries in (
+        ("workload", benchmark["workloads"]),
+        ("end-to-end metric", benchmark["end_to_end"]),
+    ):
+        for entry in entries:
+            if entry["name"] not in text:
+                failures.append(
+                    f"docs/PERFORMANCE.md does not mention the {kind} "
+                    f"{entry['name']!r} (BENCHMARK.json changed without a "
+                    "docs update?)"
+                )
     for term in PERFORMANCE_TERMS:
         if term not in text:
             failures.append(f"docs/PERFORMANCE.md does not mention {term!r}")
