@@ -12,8 +12,10 @@ masks, :mod:`repro.analysis.union_tree`).
 
 Everything per-query is reused from the single-query engine, unchanged:
 
-* each query gets its own :class:`~repro.engine.session.QuerySession`
-  (compile-once artifacts, warm lazy-DFA matcher, recycled buffers),
+* each query gets its own :class:`~repro.engine.session.QuerySession`,
+  whose :class:`~repro.engine.session.QueryRuntime` holds the compile-once
+  artifacts and the warm lazy-DFA matcher and builds the lane's inputs and
+  its evaluator, and whose checkout policy recycles the lane's buffer,
 * each in-flight evaluation is an ordinary
   :class:`~repro.engine.session.StreamingRun` owned by its session, so
   the release-guard machinery applies verbatim — a crashed or abandoned
@@ -21,12 +23,14 @@ Everything per-query is reused from the single-query engine, unchanged:
 * strict safety (:func:`~repro.engine.session.check_safety`) holds per
   query: role accounting balances lane by lane.
 
-Single-query evaluation is literally the N=1 case of this path: a
-:class:`~repro.stream.preprojector.StreamPreprojector` is one pump
-driving one :class:`~repro.stream.preprojector.ProjectionLane`; this
-module drives N lanes from one pump.
+Single-query evaluation shares the lane but not the pump: a solo run's
+:class:`~repro.stream.preprojector.StreamPreprojector` is its own pump
+driving one :class:`~repro.stream.preprojector.ProjectionLane`, while this
+module drives N lanes from one
+:class:`~repro.stream.shared.SharedPreprojector`.  The lane inputs and the
+evaluator are wired by the same runtime methods either way.
 
-A shared-pass aggregate accountant (via the
+An :class:`~repro.engine.session.AggregateAccountant` (via the
 :attr:`~repro.buffer.stats.BufferStats.accountant` hook) observes every
 lane's buffer, so :class:`MultiRunStats` reports the *combined* residency
 peak of the whole pass — the multi-query analogue of the paper's per-run
@@ -39,7 +43,6 @@ to fan a multi-query workload over pool workers.
 
 from __future__ import annotations
 
-import threading
 import weakref
 from collections import deque
 from dataclasses import dataclass
@@ -49,16 +52,14 @@ from typing import Iterator, Mapping, Sequence
 from repro.analysis.compile import CompiledQuery
 from repro.analysis.schema import Schema
 from repro.analysis.union_tree import UnionProjection, build_union_projection
-from repro.engine.evaluator import Evaluator
 from repro.engine.session import (
+    AggregateAccountant,
     EngineOptions,
+    QueryRuntime,
     QuerySession,
     RunResult,
     StreamingRun,
-    build_accumulators,
     document_tokens,
-    earliness_sites,
-    single_match_loops,
 )
 from repro.stream.preprojector import ProjectionLane
 from repro.stream.shared import ProductGuide, SharedPreprojector
@@ -110,62 +111,11 @@ class MultiRunStats:
         )
 
 
-class _SharedPassAccountant:
-    """Aggregate live-residency accounting across all lanes of a session.
-
-    Attached (as :class:`~repro.buffer.stats.BufferAccountant`) to every
-    lane buffer the session checks out.  Residency released wholesale —
-    a run completing with buffered nodes left, or an abandoned run's
-    buffer being discarded — is settled through :meth:`settle`, keeping
-    the live aggregate honest across successive multi-runs.
-
-    A multi-run dropped without ``close()`` settles through the *pending*
-    queue instead: its GC finalizer may fire while this very lock is held
-    (the same hazard ``session._ReleaseGuard`` documents), so the GC path
-    only appends to ``pending`` — a GIL-atomic list — and the queued
-    amounts are reconciled from normal call contexts via :meth:`reap`.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        #: (nodes, bytes) settlements queued from GC contexts.
-        self.pending: list[tuple[int, int]] = []
-        self.live_nodes = 0
-        self.live_bytes = 0
-        self.peak_live_nodes = 0
-        self.peak_live_bytes = 0
-
-    def on_delta(self, nodes: int, cost: int) -> None:
-        with self._lock:
-            self.live_nodes += nodes
-            self.live_bytes += cost
-            if self.live_nodes > self.peak_live_nodes:
-                self.peak_live_nodes = self.live_nodes
-            if self.live_bytes > self.peak_live_bytes:
-                self.peak_live_bytes = self.live_bytes
-
-    def settle(self, nodes: int, cost: int) -> None:
-        """Subtract residency whose buffer left the pass in one piece."""
-        with self._lock:
-            self.live_nodes -= nodes
-            self.live_bytes -= cost
-
-    def reap(self) -> None:
-        """Apply settlements queued by GC'd multi-runs (normal context)."""
-        pending = self.pending
-        while pending:
-            try:
-                nodes, cost = pending.pop()
-            except IndexError:  # another thread reaped the last entry
-                break
-            self.settle(nodes, cost)
-
-
 def _queue_abandoned_settlement(
     shared: SharedPreprojector,
     runs: list[tuple[str, StreamingRun]],
     results: dict[str, RunResult],
-    accountant: _SharedPassAccountant,
+    accountant: AggregateAccountant,
 ) -> None:
     """GC finalizer of a multi-run dropped without ``close()``.
 
@@ -194,17 +144,20 @@ class MultiStreamingRun:
     its lane is retired from the dispatch — the dynamic merged-signoff
     release.  :meth:`close` abandons every still-open per-query run; each
     run's release guard returns its checkout exactly once, crash or not.
+    The pass counts in its session's ``runs_completed`` when its last run
+    completes.
     """
 
     def __init__(
         self,
+        session: MultiQuerySession,
         shared: SharedPreprojector,
         runs: list[tuple[str, StreamingRun]],
-        accountant: _SharedPassAccountant,
     ) -> None:
+        self._session = session
         self._shared = shared
         self._runs = runs
-        self._accountant = accountant
+        self._accountant = accountant = session._accountant
         #: RunResult per query name, filled in as each run completes.
         self.results: dict[str, RunResult] = {}
         self._closed = False
@@ -259,6 +212,7 @@ class MultiStreamingRun:
                 raise
             live.append((index, name, run))
             yield (name, token)
+        self._session.runs_completed += 1
 
     def close(self) -> None:
         """Abandon every per-query run that has not completed."""
@@ -313,8 +267,9 @@ class MultiQuerySession:
     derives the union projection tree; every :meth:`run` /
     :meth:`run_streaming` afterwards spins up only the dynamic half — N
     lanes behind one tokenizer.  Queries are given as a mapping from name
-    to query (text, AST, or compiled), or as a plain sequence (named
-    ``q0..qN-1``).
+    to query (text, AST, compiled, or a
+    :class:`~repro.engine.session.QueryRuntime`, adopted with its own
+    options), or as a plain sequence (named ``q0..qN-1``).
 
     Like :class:`~repro.engine.session.QuerySession`, a multi session is
     single-client: runs are driven from one thread at a time.
@@ -322,8 +277,8 @@ class MultiQuerySession:
 
     def __init__(
         self,
-        queries: Mapping[str, Query | str | CompiledQuery]
-        | Sequence[Query | str | CompiledQuery],
+        queries: Mapping[str, Query | str | CompiledQuery | QueryRuntime]
+        | Sequence[Query | str | CompiledQuery | QueryRuntime],
         options: EngineOptions | None = None,
         *,
         schema: Schema | None = None,
@@ -338,13 +293,13 @@ class MultiQuerySession:
         if len({name for name, _query in named}) != len(named):
             raise ValueError("query names must be unique")
         self.names: tuple[str, ...] = tuple(name for name, _query in named)
-        # ``schema`` applies to every member compiled here; pre-compiled
-        # artifacts (schema-aware or not) are adopted unchanged.  The
-        # shared pass wires its own lanes, so certified members keep the
-        # generic evaluator — the schema's value in a multi session is the
-        # constraint report, not the direct runner.
+        # Each member's QueryRuntime compiles it (``schema`` and trust as
+        # QueryRuntime documents).  The shared pass wires its own lanes, so
+        # certified members keep the generic evaluator — the schema's value
+        # in a multi session is the constraint report, not the direct
+        # runner.
         self.sessions: dict[str, QuerySession] = {
-            name: QuerySession(query, self.options, schema=schema)
+            name: QuerySession(query, options, schema=schema)
             for name, query in named
         }
         #: The merged static analysis: membership bitmasks + signoff table.
@@ -354,11 +309,12 @@ class MultiQuerySession:
                 for name in self.names
             ]
         )
-        self._accountant = _SharedPassAccountant()
+        self._accountant = AggregateAccountant()
         # The product of the members' scan guides, kept across passes for
-        # its memoised rows; rebuilt when a session recycles its matcher.
+        # its memoised rows; rebuilt when a runtime recycles its matcher.
         self._guide: ProductGuide | None = None
-        #: Completed shared passes (every query ran to completion).
+        #: Completed shared passes (every query ran to completion), counted
+        #: by run() and run_streaming() alike.
         self.runs_completed = 0
 
     @property
@@ -384,63 +340,41 @@ class MultiQuerySession:
         tokenization with bounded memory), or any token iterator; it is
         tokenized exactly once regardless of the number of queries.
         """
-        options = self.options
         self._accountant.reap()  # settle GC-abandoned passes first
-        # Check out (buffer, matcher) per query up front; until a run's
-        # release guard exists the checkout is ours to return on failure.
-        checkouts: list[tuple[QuerySession, object, object]] = []
+        sessions = list(self.sessions.values())
+        # Check out one buffer per query up front; until a run's release
+        # guard exists the checkout is ours to return on failure.
+        buffers: list = []
         runs: list[tuple[str, StreamingRun]] = []
         try:
-            for name in self.names:
-                session = self.sessions[name]
-                buffer, matcher = session._begin_streaming_run()
-                checkouts.append((session, buffer, matcher))
+            for session in sessions:
+                buffer = session._begin_streaming_run()
+                buffers.append(buffer)
                 buffer.stats.accountant = self._accountant
+            matchers = tuple(session.runtime.matcher() for session in sessions)
             lanes = [
-                ProjectionLane(
-                    session.compiled.projection_tree,
-                    buffer,
-                    aggregate_roles=options.aggregate_roles,
-                    matcher=matcher,
-                    accumulators=build_accumulators(session.compiled, buffer),
-                )
-                for session, buffer, matcher in checkouts
+                ProjectionLane(**session.runtime.lane_inputs(buffer, matcher))
+                for session, buffer, matcher in zip(sessions, buffers, matchers)
             ]
-            matchers = tuple(matcher for _s, _b, matcher in checkouts)
             if self._guide is None or self._guide.guides != matchers:
                 self._guide = ProductGuide(matchers)
             shared = SharedPreprojector(
                 document_tokens(document, guide=self._guide), lanes
             )
-            for index, name in enumerate(self.names):
-                session, buffer, _matcher = checkouts[index]
-                view = shared.view(index)
-                evaluator = Evaluator(
-                    session.compiled.rewritten,
-                    buffer,
-                    view,
-                    None,
-                    aggregate_roles=options.aggregate_roles,
-                    eager_leaf_bindings=options.eager_leaf_bindings,
-                    earliness_sites=earliness_sites(session.compiled, options),
-                    single_match_loops=single_match_loops(
-                        session.compiled, options
-                    ),
-                    join_plan=session.compiled.joinplan
-                    if options.hash_joins
-                    else None,
-                )
+            for index, (name, session) in enumerate(self.sessions.items()):
+                buffer, view = buffers[index], shared.view(index)
+                evaluator = session.runtime.evaluator(buffer, view)
                 runs.append((name, StreamingRun(session, buffer, view, evaluator)))
         except BaseException:
             # Runs already constructed own their releases; checkouts past
             # that point must be handed back here or their sessions wedge.
-            for session, buffer, _matcher in checkouts[len(runs):]:
+            for session, buffer in zip(sessions[len(runs) :], buffers[len(runs) :]):
                 buffer.stats.accountant = None
                 session._on_run_closed(buffer)
             for _name, run in runs:
                 run.close()
             raise
-        return MultiStreamingRun(shared, runs, self._accountant)
+        return MultiStreamingRun(self, shared, runs)
 
     def run(
         self,
@@ -466,7 +400,6 @@ class MultiQuerySession:
                 outs[name] = own_sinks[name] = StringSink()
         for name, token in stream:
             outs[name].write(token)
-        self.runs_completed += 1
         results = {name: stream.results[name] for name in self.names}
         for name, sink in own_sinks.items():
             sink.close()

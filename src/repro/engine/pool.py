@@ -7,6 +7,7 @@ viable: N in-flight evaluations cost N small buffers, not N documents.
 the way docs/CONCURRENCY.md describes:
 
 * **Shared static state** (computed once, immutable afterwards): the
+  query's :class:`~repro.engine.session.QueryRuntime` — the
   :class:`~repro.analysis.compile.CompiledQuery` and one
   :class:`~repro.stream.matcher.StreamMatcher` whose interned lazy-DFA
   transition table is safely shareable — states are immutable after
@@ -21,8 +22,9 @@ the way docs/CONCURRENCY.md describes:
   consumed-``[1]`` bookkeeping) lives inside each run's preprojector, so
   it needs no pooling at all.
 
-An aggregate accountant observes every checked-out buffer and maintains
-the *pool-wide* live residency and its peak (``PoolStats.peak_live_nodes``
+An :class:`~repro.engine.session.AggregateAccountant` observes every
+checked-out buffer and maintains the *pool-wide* live residency and its
+peak (``PoolStats.peak_live_nodes``
 / ``peak_live_bytes``) — the serving-layer analogue of the paper's
 per-run buffer high watermark.
 
@@ -58,29 +60,24 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from repro.analysis.compile import CompiledQuery, compile_query
+from repro.analysis.compile import CompiledQuery
 from repro.analysis.schema import Schema
-from repro.analysis.schema_constraints import apply_trusted_constraints
 from repro.buffer.buffer import BufferTree
 from repro.engine.session import (
-    MATCHER_STATE_CAP,
+    AggregateAccountant,
     EngineOptions,
+    QueryRuntime,
     QuerySession,
     RunResult,
     StreamingRun,
-    build_streaming_run,
     drain_streaming_run,
     reap_dropped_runs,
-    warm_chain_guide,
 )
 from repro.stream.matcher import StreamMatcher
 from repro.xmlio.serialize import TokenSink
 from repro.xmlio.tokens import Token
-
-if TYPE_CHECKING:
-    from repro.engine.direct import ChainGuide
 
 __all__ = ["PoolResult", "PoolStats", "SessionPool"]
 
@@ -170,82 +167,6 @@ class PoolStats:
         )
 
 
-class _PoolAccountant:
-    """Thread-safe aggregate high-watermark accounting for the pool.
-
-    Attached (as :class:`~repro.buffer.stats.BufferAccountant`) to every
-    checked-out buffer; each node/role delta updates the pool-wide live
-    totals and their peaks under one small lock.  The lock is uncontended
-    in the common case and touched only when buffers actually grow or
-    shrink — never on the matcher's hit path.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.runs_started = 0
-        self.runs_completed = 0
-        self.runs_abandoned = 0
-        self.active_runs = 0
-        self.peak_active_runs = 0
-        self.live_nodes = 0
-        self.live_bytes = 0
-        self.peak_live_nodes = 0
-        self.peak_live_bytes = 0
-
-    # BufferAccountant protocol ----------------------------------------
-
-    def on_delta(self, nodes: int, cost: int) -> None:
-        with self._lock:
-            self.live_nodes += nodes
-            self.live_bytes += cost
-            if self.live_nodes > self.peak_live_nodes:
-                self.peak_live_nodes = self.live_nodes
-            if self.live_bytes > self.peak_live_bytes:
-                self.peak_live_bytes = self.live_bytes
-
-    # run lifecycle ----------------------------------------------------
-
-    def run_started(self) -> None:
-        with self._lock:
-            self.runs_started += 1
-            self.active_runs += 1
-            if self.active_runs > self.peak_active_runs:
-                self.peak_active_runs = self.active_runs
-
-    def run_ended(
-        self, *, completed: bool, leftover_nodes: int, leftover_bytes: int
-    ) -> None:
-        with self._lock:
-            self.active_runs -= 1
-            if completed:
-                self.runs_completed += 1
-            else:
-                self.runs_abandoned += 1
-            # An abandoned run's residue is discarded with its buffer; a
-            # completed strict run leaves nothing (Section 3's guarantee).
-            self.live_nodes -= leftover_nodes
-            self.live_bytes -= leftover_bytes
-
-    def remote_runs_started(self, count: int) -> None:
-        """Counted synchronously at submit time, so it is always exact."""
-        with self._lock:
-            self.runs_started += count
-
-    def remote_runs_completed(self, count: int) -> None:
-        with self._lock:
-            self.runs_completed += count
-
-    def remote_runs_failed(self, count: int) -> None:
-        """A remote task died: all its runs count as abandoned.
-
-        A mid-chunk failure abandons the whole chunk from the caller's
-        point of view (its future raises), so the whole chunk is counted
-        here even if some documents inside it evaluated before the error.
-        """
-        with self._lock:
-            self.runs_abandoned += count
-
-
 class SessionPool:
     """Thread-safe serving of one compiled query to N concurrent clients.
 
@@ -277,7 +198,6 @@ class SessionPool:
             raise ValueError(
                 f"executor must be 'thread' or 'process', got {executor!r}"
             )
-        self.options = options or EngineOptions()
         self.max_workers = max_workers
         self.executor_kind = executor
         self._query_text = query if isinstance(query, str) else None
@@ -287,27 +207,13 @@ class SessionPool:
                 "processes each compile their own copy at startup"
             )
         # Schema is kept for the process-executor initializer (workers
-        # each re-run the schema-aware compilation on their own copy).
+        # each re-run the schema-aware compilation on their own copy) and
+        # for map_multi's member queries.
         self._schema = schema
-        if isinstance(query, CompiledQuery):
-            # Compiled artifacts — schema-aware or not — are adopted as-is.
-            self._compiled = query
-        else:
-            self._compiled = compile_query(
-                query, self.options.compile_options(), schema=schema
-            )
-        if self.options.trust_schema:
-            self._compiled = apply_trusted_constraints(self._compiled)
-        # Shared static half (Figure 11's left side): one matcher whose
-        # lazy DFA every run reads and warms; replaced wholesale (under
-        # the pool lock) if an adversarial document bloats it.
-        self._matcher = StreamMatcher(
-            self._compiled.projection_tree,
-            aggregate_roles=self.options.aggregate_roles,
-        )
-        # A certified query's runs read the chain guide instead, shared
-        # and recycled the same way (built by the first run that needs it).
-        self._warm_chain_guide: ChainGuide | None = None
+        # Shared static half (Figure 11's left side), including the warm
+        # matcher every run reads and warms.
+        self.runtime = QueryRuntime(query, options, schema=schema)
+        self.options = self.runtime.options
         # Pooled dynamic half: idle buffers plus the checkout registry
         # mapping id(buffer) -> (owning thread ident, the buffer itself).
         # The registry IS the owner assertion: checking out a registered
@@ -328,7 +234,14 @@ class SessionPool:
             max_idle_buffers if max_idle_buffers is not None else max_workers
         )
         self._buffers_created = 0
-        self._accountant = _PoolAccountant()
+        # Run lifecycle counters (the pool lock); residency is the
+        # accountant's, under its own lock, always taken second.
+        self._runs_started = 0
+        self._runs_completed = 0
+        self._runs_abandoned = 0
+        self._active_runs = 0
+        self._peak_active_runs = 0
+        self._accountant = AggregateAccountant()
         self._executor: ThreadPoolExecutor | ProcessPoolExecutor | None = None
         # _closing rejects *new* submissions while close() drains the
         # queued work; _closed (set once the drain finished) additionally
@@ -341,27 +254,27 @@ class SessionPool:
     @property
     def compiled(self) -> CompiledQuery:
         """The static-analysis artifacts, shared by every run."""
-        return self._compiled
+        return self.runtime.compiled
 
     @property
     def matcher(self) -> StreamMatcher:
-        """The shared matcher (its DFA table is warmed by all runs)."""
-        return self._matcher
+        """The shared matcher the next run reads (warmed by all runs)."""
+        return self.runtime.matcher()
 
     @property
     def stats(self) -> PoolStats:
         """A snapshot of the pool-wide accounting."""
         reap_dropped_runs(self)  # settle abandoned runs first
         acct = self._accountant
-        with acct._lock, self._lock:
+        with self._lock, acct._lock:
             return PoolStats(
                 executor=self.executor_kind,
                 max_workers=self.max_workers,
-                runs_started=acct.runs_started,
-                runs_completed=acct.runs_completed,
-                runs_abandoned=acct.runs_abandoned,
-                active_runs=acct.active_runs,
-                peak_active_runs=acct.peak_active_runs,
+                runs_started=self._runs_started,
+                runs_completed=self._runs_completed,
+                runs_abandoned=self._runs_abandoned,
+                active_runs=self._active_runs,
+                peak_active_runs=self._peak_active_runs,
                 live_nodes=acct.live_nodes,
                 live_bytes=acct.live_bytes,
                 peak_live_nodes=acct.peak_live_nodes,
@@ -394,13 +307,12 @@ class SessionPool:
                 # counters are exact once close() returns, as documented.
                 # Bounded: with the executor drained and _closing set, no
                 # new remote runs can start.
-                acct = self._accountant
                 deadline = time.monotonic() + 5.0
                 while time.monotonic() < deadline:
-                    with acct._lock:
+                    with self._lock:
                         settled = (
-                            acct.runs_completed + acct.runs_abandoned
-                            >= acct.runs_started
+                            self._runs_completed + self._runs_abandoned
+                            >= self._runs_started
                         )
                     if settled:
                         break
@@ -469,16 +381,9 @@ class SessionPool:
                 "processes cannot stream tokens into this one"
             )
         buffer = self._checkout_buffer()
-        matcher = self._shared_matcher()
-        self._accountant.run_started()
         try:
-            return build_streaming_run(
-                self,
-                document,
-                buffer,
-                matcher,
-                on_event=on_event,
-                interrupt=interrupt,
+            return self.runtime.streaming_run(
+                self, document, buffer, on_event=on_event, interrupt=interrupt
             )
         except BaseException:
             # No release guard exists until StreamingRun.__init__ ends,
@@ -507,7 +412,7 @@ class SessionPool:
         """
         executor = self._ensure_executor()
         if self.executor_kind == "process":
-            self._accountant.remote_runs_started(1)
+            self._count_runs(started=1)
             future = executor.submit(
                 _process_serve_one, document
             )  # type: Future[PoolResult]
@@ -547,7 +452,7 @@ class SessionPool:
                 if self._closed or self._closing:
                     raise RuntimeError("SessionPool is closed")
             if remote:
-                self._accountant.remote_runs_started(len(chunk))
+                self._count_runs(started=len(chunk))
             future = executor.submit(serve, chunk)
             if remote:
                 future.add_done_callback(
@@ -574,7 +479,8 @@ class SessionPool:
         and ordered delivery.  Yields one ``{name: PoolResult}`` dict per
         document, in input order.  The queries are compiled exactly once
         here; each worker thread then keeps its own warm
-        ``MultiQuerySession`` over the shared compiled artifacts (a multi
+        ``MultiQuerySession`` over the shared
+        :class:`~repro.engine.session.QueryRuntime` of each query (a multi
         session is single-client, so sessions are thread-local rather
         than shared).
 
@@ -596,14 +502,8 @@ class SessionPool:
             named = list(queries.items())
         else:
             named = [(f"q{i}", query) for i, query in enumerate(queries)]
-        compiled: dict[str, CompiledQuery] = {
-            name: (
-                query
-                if isinstance(query, CompiledQuery)
-                else compile_query(
-                    query, self.options.compile_options(), schema=self._schema
-                )
-            )
+        runtimes = {
+            name: QueryRuntime(query, self.options, schema=self._schema)
             for name, query in named
         }
         executor = self._ensure_executor()
@@ -612,9 +512,9 @@ class SessionPool:
         def serve_chunk(chunk: list[str | Path]) -> list[dict[str, PoolResult]]:
             session: MultiQuerySession | None = getattr(local, "session", None)
             if session is None:
-                session = MultiQuerySession(compiled, self.options)
+                session = MultiQuerySession(runtimes, self.options)
                 local.session = session
-            runs = len(chunk) * len(compiled)
+            runs = len(chunk) * len(runtimes)
             served = []
             try:
                 for document in chunk:
@@ -626,23 +526,23 @@ class SessionPool:
                         }
                     )
             except BaseException:
-                self._accountant.remote_runs_failed(runs)
+                self._count_runs(abandoned=runs)
                 raise
             # Counted here, not in a done callback: a consumer woken by
             # the future's result may read the stats before callbacks run.
-            self._accountant.remote_runs_completed(runs)
+            self._count_runs(completed=runs)
             return served
 
         def count_cancelled(runs: int, future: Future) -> None:
             if future.cancelled():
-                self._accountant.remote_runs_failed(runs)
+                self._count_runs(abandoned=runs)
 
         def submit_chunk(chunk: list[str | Path]) -> Future:
             with self._lock:
                 if self._closed or self._closing:
                     raise RuntimeError("SessionPool is closed")
-            runs = len(chunk) * len(compiled)
-            self._accountant.remote_runs_started(runs)
+            runs = len(chunk) * len(runtimes)
+            self._count_runs(started=runs)
             future = executor.submit(serve_chunk, chunk)
             future.add_done_callback(partial(count_cancelled, runs))
             return future
@@ -690,9 +590,26 @@ class SessionPool:
 
     def _count_remote(self, count: int, future: Future) -> None:
         if future.cancelled() or future.exception() is not None:
-            self._accountant.remote_runs_failed(count)
+            self._count_runs(abandoned=count)
         else:
-            self._accountant.remote_runs_completed(count)
+            self._count_runs(completed=count)
+
+    def _count_runs(
+        self, *, started: int = 0, completed: int = 0, abandoned: int = 0
+    ) -> None:
+        """Count runs outside the local checkout machinery.
+
+        Remote runs (process workers, ``map_multi`` passes) never check a
+        buffer out of this pool; ``started`` is counted synchronously at
+        submit time, so it is always exact.  A remote task that died
+        abandons all its runs: a mid-chunk failure abandons the whole
+        chunk from the caller's point of view (its future raises), so the
+        whole chunk counts even if some documents evaluated first.
+        """
+        with self._lock:
+            self._runs_started += started
+            self._runs_completed += completed
+            self._runs_abandoned += abandoned
 
     # -- RunOwner callbacks (invoked by StreamingRun exactly once) -------
 
@@ -715,9 +632,7 @@ class SessionPool:
                 self._idle_buffers.pop() if self._idle_buffers else None
             )
             if buffer is None:
-                buffer = BufferTree(
-                    self.options.cost_model, strict=self.options.strict
-                )
+                buffer = self.runtime.new_buffer()
                 self._buffers_created += 1
             key = id(buffer)
             entry = self._checked_out.get(key)
@@ -727,6 +642,10 @@ class SessionPool:
                     f"already held by thread {entry[0]}"
                 )
             self._checked_out[key] = (ident, buffer)
+            self._runs_started += 1
+            self._active_runs += 1
+            if self._active_runs > self._peak_active_runs:
+                self._peak_active_runs = self._active_runs
         buffer.stats.accountant = self._accountant
         return buffer
 
@@ -735,41 +654,27 @@ class SessionPool:
         stats.accountant = None  # no further deltas from this run
         with self._drain_cond:
             entry = self._checked_out.pop(id(buffer), None)
+            if entry is not None:
+                self._active_runs -= 1
+                if completed:
+                    self._runs_completed += 1
+                else:
+                    self._runs_abandoned += 1
+                # An abandoned run's residue is discarded with its buffer;
+                # a completed strict run leaves nothing (Section 3).
+                self._accountant.settle(stats.live_nodes, stats.live_bytes)
             if not self._checked_out:
                 self._drain_cond.notify_all()
         if entry is None:
             raise RuntimeError(
                 "buffer release violation: buffer was not checked out"
             )
-        self._accountant.run_ended(
-            completed=completed,
-            leftover_nodes=stats.live_nodes,
-            leftover_bytes=stats.live_bytes,
-        )
         # Park with a warm tag table; abandoned runs' residue is cleared
         # by reset() just the same, so recycling is always safe.
         buffer.reset()
         with self._lock:
             if not self._closed and len(self._idle_buffers) < self._max_idle:
                 self._idle_buffers.append(buffer)
-
-    def _shared_matcher(self) -> StreamMatcher:
-        with self._lock:
-            if self._matcher.state_count > MATCHER_STATE_CAP:
-                # Same escape hatch as QuerySession: in-flight runs keep
-                # their reference, future runs start a fresh table.
-                self._matcher = StreamMatcher(
-                    self._compiled.projection_tree,
-                    aggregate_roles=self.options.aggregate_roles,
-                )
-            return self._matcher
-
-    def _chain_guide(self) -> ChainGuide:
-        with self._lock:
-            guide = self._warm_chain_guide = warm_chain_guide(
-                self._warm_chain_guide, self._compiled
-            )
-        return guide
 
     # -- executor ---------------------------------------------------------
 

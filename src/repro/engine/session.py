@@ -2,12 +2,15 @@
 
 The paper's architecture (Figure 11) separates a purely static phase —
 normalization, projection-tree derivation, signOff insertion — from the
-streaming runtime.  :class:`QuerySession` makes that split first-class: it
-performs the static analysis exactly once at construction and can then
-evaluate the compiled query over arbitrarily many documents or token
-streams, each run with fully isolated dynamic state (buffer tree,
-preprojector, evaluator cursors).  Between runs the session recycles its
-:class:`~repro.buffer.buffer.BufferTree` through
+streaming runtime.  :class:`QueryRuntime` makes that split first-class: it
+holds the static half, computed once per query (the compiled query, the
+lazy-DFA matcher, the chain guide, the evaluator gates), and wires the
+dynamic half of every run (buffer, lane, evaluator).  The three
+front-ends — :class:`QuerySession`, :class:`~repro.engine.pool.SessionPool`
+and :class:`~repro.engine.multi.MultiQuerySession` — build their runs
+through it and differ only in how they check buffers out.  Each run has
+fully isolated dynamic state; between runs the
+:class:`~repro.buffer.buffer.BufferTree` is recycled through
 :meth:`~repro.buffer.buffer.BufferTree.reset`, which keeps the tag symbol
 table (Section 6's integer tags) warm across documents that share a schema.
 
@@ -61,13 +64,11 @@ __all__ = [
     "RunResult",
     "RunOwner",
     "StreamingRun",
+    "QueryRuntime",
     "QuerySession",
     "build_accumulators",
-    "build_streaming_run",
     "document_tokens",
     "drain_streaming_run",
-    "earliness_sites",
-    "single_match_loops",
 ]
 
 
@@ -115,25 +116,20 @@ def _interruptible(
 class RunOwner(Protocol):
     """What a :class:`StreamingRun` needs from whoever started it.
 
-    Both :class:`QuerySession` (single-client) and
-    :class:`~repro.engine.pool.SessionPool` (multi-client) implement this:
-    the run calls back exactly once — ``_on_run_finished`` when the output
-    was exhausted and the buffer can be recycled, or ``_on_run_closed``
-    when the run was abandoned or died and the buffer must be discarded.
+    Every front-end's checkout policy implements this: the run reads its
+    query's :class:`QueryRuntime` and calls back exactly once —
+    ``_on_run_finished`` when the output was exhausted and the buffer can
+    be recycled, or ``_on_run_closed`` when the run was abandoned or died
+    and the buffer must be discarded.
     """
 
-    options: EngineOptions
+    runtime: QueryRuntime
     #: Guards of abandoned runs awaiting reclamation (see _ReleaseGuard).
     _dropped_runs: list
-
-    @property
-    def compiled(self) -> CompiledQuery: ...
 
     def _on_run_finished(self, buffer: BufferTree) -> None: ...
 
     def _on_run_closed(self, buffer: BufferTree) -> None: ...
-
-    def _chain_guide(self) -> ChainGuide: ...
 
 
 class _ReleaseGuard:
@@ -371,9 +367,9 @@ class StreamingRun:
     def _finalize(self) -> None:
         assert self._started is not None  # finalize only runs via __next__
         elapsed = time.perf_counter() - self._started
-        owner = self._owner
+        runtime = self._owner.runtime
         try:
-            if owner.options.strict:
+            if runtime.options.strict:
                 check_safety(self._buffer, self._preprojector)
         except BaseException:
             # A failed safety check means the buffer state is suspect:
@@ -383,7 +379,7 @@ class StreamingRun:
         self.result = RunResult(
             output="",
             stats=self._buffer.stats,
-            compiled=owner.compiled,
+            compiled=runtime.compiled,
             elapsed_seconds=elapsed,
             exhausted_input=self._preprojector.exhausted,
             first_output_seconds=self.first_output_seconds,
@@ -391,16 +387,91 @@ class StreamingRun:
         self._release.finish()
 
 
-class QuerySession:
-    """A query compiled once, runnable over arbitrarily many documents.
+class AggregateAccountant:
+    """Live residency, and its peak, summed over many buffers at once.
 
-    Construction runs the full static-analysis pipeline of Section 4 (or
-    adopts an already-:class:`~repro.analysis.compile.CompiledQuery`);
-    every :meth:`run`/:meth:`run_streaming` afterwards only spins up the
-    dynamic half of Figure 11.  Per-run state is fully isolated — a
-    session never leaks buffered nodes, roles, cancellations or cursor
-    positions from one document into the next — so interleaved and
-    repeated runs are safe.
+    Attached (as :class:`~repro.buffer.stats.BufferAccountant`) to every
+    buffer a :class:`~repro.engine.pool.SessionPool` checks out and to every
+    lane buffer of a :class:`~repro.engine.multi.MultiQuerySession` pass:
+    each node/role delta updates the live totals and their peaks under one
+    small lock — the serving-layer and shared-pass analogue of the paper's
+    per-run buffer high watermark.  The lock is touched only when a buffer
+    grows or shrinks, never on the matcher's hit path.
+
+    Residency that leaves in one piece — a run ending with nodes still
+    buffered, an abandoned run's discarded buffer — is subtracted through
+    :meth:`settle`.  A settlement decided inside the garbage collector
+    (whose finalizers may fire while this very lock is held, the hazard
+    :class:`_ReleaseGuard` documents) only appends to :attr:`pending`, a
+    GIL-atomic list, and is applied from a normal call context by
+    :meth:`reap`.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        #: (nodes, bytes) settlements queued from GC contexts.
+        self.pending: list[tuple[int, int]] = []
+        self.live_nodes = 0
+        self.live_bytes = 0
+        self.peak_live_nodes = 0
+        self.peak_live_bytes = 0
+
+    def on_delta(self, nodes: int, cost: int) -> None:
+        with self._lock:
+            self.live_nodes += nodes
+            self.live_bytes += cost
+            if self.live_nodes > self.peak_live_nodes:
+                self.peak_live_nodes = self.live_nodes
+            if self.live_bytes > self.peak_live_bytes:
+                self.peak_live_bytes = self.live_bytes
+
+    def settle(self, nodes: int, cost: int) -> None:
+        """Subtract residency whose buffer left in one piece."""
+        with self._lock:
+            self.live_nodes -= nodes
+            self.live_bytes -= cost
+
+    def reap(self) -> None:
+        """Apply the settlements queued from GC contexts (normal context)."""
+        pending = self.pending
+        while pending:
+            try:
+                nodes, cost = pending.pop()
+            except IndexError:  # another thread reaped the last entry
+                break
+            self.settle(nodes, cost)
+
+
+class QueryRuntime:
+    """One query's static half of Figure 11, and the wiring of its runs.
+
+    Construction compiles once.  Query text or an AST is compiled with
+    ``options.compile_options()`` against ``schema``; a
+    :class:`~repro.analysis.compile.CompiledQuery` is adopted with whatever
+    schema it was compiled against (``schema`` is then unused).  Either
+    way, under ``options.trust_schema`` the trusted schema pruning
+    (:func:`~repro.analysis.schema_constraints.apply_trusted_constraints`)
+    is applied to the result — to adopted artifacts too.
+
+    The runtime then holds what every run of the query shares:
+
+    * one warm :class:`~repro.stream.matcher.StreamMatcher` — its lazy-DFA
+      transition table is document-independent, so every run after the
+      first replays warm transitions, and per-run state lives in the run's
+      lane — and, for a schema-certified query, one lazily built
+      :class:`~repro.engine.direct.ChainGuide`.  A guide that past
+      documents grew beyond :data:`MATCHER_STATE_CAP` (DFA states scale
+      with match-multiset variety, e.g. nesting depth under a descendant
+      axis) is replaced before the next run; in-flight runs keep the guide
+      they started with;
+    * the evaluator gates that depend only on the compiled query and the
+      options: the earliness output sites, the trusted single-match loops
+      and the hash-join plan.
+
+    :class:`QuerySession`, :class:`~repro.engine.pool.SessionPool` and
+    :class:`~repro.engine.multi.MultiQuerySession` build every run here;
+    each keeps only its own buffer checkout policy.  Thread-safe: the
+    guides are swapped under one lock, everything else is immutable.
     """
 
     def __init__(
@@ -410,24 +481,183 @@ class QuerySession:
         *,
         schema: Schema | None = None,
     ) -> None:
-        self.options = options or EngineOptions()
-        if isinstance(query, CompiledQuery):
-            # Already-compiled artifacts are adopted unchanged; compile
-            # with ``compile_query(..., schema=...)`` to attach a schema.
-            self._compiled = query
-        else:
-            self._compiled = compile_query(
-                query, self.options.compile_options(), schema=schema
+        self.options = options = options or EngineOptions()
+        if not isinstance(query, CompiledQuery):
+            query = compile_query(query, options.compile_options(), schema=schema)
+        if options.trust_schema:
+            query = apply_trusted_constraints(query)
+        self.compiled: CompiledQuery = query
+        constraints = query.constraints
+        # Schema-certified queries skip the buffered pipeline (see
+        # streaming_run); the flux-like baseline keeps it, since its point
+        # is to model the *buffered* push-based engine.
+        self._direct = (
+            constraints is not None
+            and constraints.zero_buffer is not None
+            and not options.eager_leaf_bindings
+        )
+        # ``None`` (as opposed to an empty set) switches the evaluator's
+        # first-witness condition handling off as well, so
+        # ``EngineOptions(earliness=False)`` really is the conservative
+        # engine.  The single-match watermarks assume the document conforms
+        # (a violating second match would be skipped), so they are handed
+        # over in trusted mode only; the adversarial splicing suite relies
+        # on that gate.
+        plan = query.earliness
+        self._earliness_sites = self._single_match_loops = None
+        if (
+            options.earliness
+            and options.aggregate_roles
+            and not options.eager_leaf_bindings
+        ):
+            self._earliness_sites = plan.streamable_sites if plan else frozenset()
+            if options.trust_schema:
+                self._single_match_loops = (
+                    plan.single_match_loops if plan else frozenset()
+                )
+        self._join_plan = query.joinplan if options.hash_joins else None
+        self._lock = threading.Lock()
+        self._matcher = self._new_matcher()
+        self._chain_guide: ChainGuide | None = None
+
+    def _new_matcher(self) -> StreamMatcher:
+        return StreamMatcher(
+            self.compiled.projection_tree,
+            aggregate_roles=self.options.aggregate_roles,
+        )
+
+    # -- the warm guides --------------------------------------------------
+
+    def matcher(self) -> StreamMatcher:
+        """The shared warm matcher the next run reads."""
+        with self._lock:
+            if self._matcher.state_count > MATCHER_STATE_CAP:
+                self._matcher = self._new_matcher()
+            return self._matcher
+
+    def chain_guide(self) -> ChainGuide:
+        """The shared warm chain guide (schema-certified queries only)."""
+        with self._lock:
+            guide = self._chain_guide
+            if guide is None or guide.size > MATCHER_STATE_CAP:
+                from repro.engine.direct import ChainGuide
+
+                guide = self._chain_guide = ChainGuide(
+                    self.compiled.constraints.zero_buffer
+                )
+            return guide
+
+    # -- run wiring --------------------------------------------------------
+
+    def new_buffer(self) -> BufferTree:
+        """An empty buffer for a checkout policy's pool of buffers."""
+        return BufferTree(self.options.cost_model, strict=self.options.strict)
+
+    def lane_inputs(self, buffer: BufferTree, matcher: StreamMatcher) -> dict:
+        """The keyword arguments of one run's :class:`ProjectionLane`."""
+        return {
+            "tree": self.compiled.projection_tree,
+            "buffer": buffer,
+            "aggregate_roles": self.options.aggregate_roles,
+            "matcher": matcher,
+            "accumulators": build_accumulators(self.compiled, buffer),
+        }
+
+    def evaluator(
+        self,
+        buffer: BufferTree,
+        source: object,
+        on_event: Callable[[str], None] | None = None,
+    ) -> Evaluator:
+        """One buffered run's evaluator, pulling input from ``source``."""
+        return Evaluator(
+            self.compiled.rewritten,
+            buffer,
+            source,
+            None,
+            aggregate_roles=self.options.aggregate_roles,
+            eager_leaf_bindings=self.options.eager_leaf_bindings,
+            earliness_sites=self._earliness_sites,
+            single_match_loops=self._single_match_loops,
+            join_plan=self._join_plan,
+            on_event=on_event,
+        )
+
+    def streaming_run(
+        self,
+        owner: RunOwner,
+        document: str | Path | Iterator[Token],
+        buffer: BufferTree,
+        *,
+        on_event: Callable[[str], None] | None = None,
+        interrupt: Callable[[], None] | None = None,
+    ) -> StreamingRun:
+        """Wire the dynamic half of Figure 11 for one single-query run.
+
+        ``owner`` has already checked out ``buffer`` (exclusive to this
+        run); the returned :class:`StreamingRun` reports back to it exactly
+        once.  A schema-certified query short-circuits the whole buffered
+        pipeline: the :class:`~repro.engine.direct.DirectEvaluator` streams
+        input tokens straight to output with an empty buffer (and detects
+        schema-violating nesting structurally, so the output stays
+        byte-identical either way), its input scanned under the shared
+        chain guide.
+        """
+        if self._direct:
+            from repro.engine.direct import DirectEvaluator
+
+            guide = self.chain_guide()
+            direct = DirectEvaluator(
+                guide,
+                document_tokens(
+                    document, guide=guide.for_run(buffer.stats), interrupt=interrupt
+                ),
+                buffer.stats,
+                self.options.cost_model,
             )
-        if self.options.trust_schema:
-            self._compiled = apply_trusted_constraints(self._compiled)
+            return StreamingRun(owner, buffer, direct, direct)
+        matcher = self.matcher()
+        preprojector = StreamPreprojector(
+            document_tokens(document, guide=matcher, interrupt=interrupt),
+            **self.lane_inputs(buffer, matcher),
+        )
+        evaluator = self.evaluator(buffer, preprojector, on_event)
+        return StreamingRun(owner, buffer, preprojector, evaluator)
+
+
+class QuerySession:
+    """A query compiled once, runnable over arbitrarily many documents.
+
+    Construction builds the query's :class:`QueryRuntime` (or adopts one);
+    every :meth:`run`/:meth:`run_streaming` afterwards only spins up the
+    dynamic half of Figure 11.  Per-run state is fully isolated — a
+    session never leaks buffered nodes, roles, cancellations or cursor
+    positions from one document into the next — so interleaved and
+    repeated runs are safe.  The session's own part is its checkout
+    policy: one spare buffer and the single-client thread guard.
+    """
+
+    def __init__(
+        self,
+        query: Query | str | CompiledQuery | QueryRuntime,
+        options: EngineOptions | None = None,
+        *,
+        schema: Schema | None = None,
+    ) -> None:
+        if isinstance(query, QueryRuntime):
+            if options is not None and options != query.options:
+                raise ValueError("a QueryRuntime is adopted with its own options")
+            self.runtime = query
+        else:
+            self.runtime = QueryRuntime(query, options, schema=schema)
+        self.options = self.runtime.options
         #: Completed evaluations (streaming runs count on exhaustion).
         self.runs_completed = 0
-        # Guards the spare-buffer slot, the shared matcher, and the
-        # in-flight accounting below.  A session is a single-client object:
-        # the lock makes the checkout bookkeeping race-free, and the
-        # owner-thread guard turns cross-thread concurrent use into a clear
-        # error instead of corrupted state (use SessionPool for that).
+        # Guards the spare-buffer slot and the in-flight accounting below.
+        # A session is a single-client object: the lock makes the checkout
+        # bookkeeping race-free, and the owner-thread guard turns
+        # cross-thread concurrent use into a clear error instead of
+        # corrupted state (use SessionPool for that).
         self._lock = threading.Lock()
         self._active_streams = 0
         self._stream_owner: int | None = None  # thread ident
@@ -437,25 +667,11 @@ class QuerySession:
         # One finished buffer is kept for reuse; reset() preserves its tag
         # symbol table, so same-schema documents skip re-interning.
         self._spare_buffer: BufferTree | None = None
-        # One shared matcher: its lazy-DFA transition table is document-
-        # independent (append-only states + memoized transitions), so every
-        # run after the first replays warm transitions.  Safe under
-        # interleaved runs — per-run state lives in the preprojector frames.
-        # Recycled via _acquire_matcher_locked when an adversarial document (DFA
-        # states scale with match-multiset variety, e.g. nesting depth under
-        # a descendant axis) inflates it past MATCHER_STATE_CAP.
-        self._matcher = StreamMatcher(
-            self._compiled.projection_tree,
-            aggregate_roles=self.options.aggregate_roles,
-        )
-        # A certified query's runs read the chain guide instead; shared and
-        # recycled the same way, built by the first run that needs it.
-        self._warm_chain_guide: ChainGuide | None = None
 
     @property
     def compiled(self) -> CompiledQuery:
         """The static-analysis artifacts, produced exactly once."""
-        return self._compiled
+        return self.runtime.compiled
 
     # -- evaluation -----------------------------------------------------
 
@@ -499,11 +715,9 @@ class QuerySession:
         the session's checkout bookkeeping is single-client by design —
         use :class:`~repro.engine.pool.SessionPool` for concurrent serving.
         """
-        buffer, matcher = self._begin_streaming_run()
+        buffer = self._begin_streaming_run()
         try:
-            return build_streaming_run(
-                self, document, buffer, matcher, on_event=on_event
-            )
+            return self.runtime.streaming_run(self, document, buffer, on_event=on_event)
         except BaseException:
             # The run's release guard does not exist yet (it is the last
             # thing StreamingRun.__init__ creates), so a construction
@@ -512,13 +726,13 @@ class QuerySession:
             self._on_run_closed(buffer)
             raise
 
-    def _begin_streaming_run(self) -> tuple[BufferTree, StreamMatcher]:
-        """Check out (buffer, matcher) for one new streaming run.
+    def _begin_streaming_run(self) -> BufferTree:
+        """Check out a buffer for one new streaming run.
 
         The in-flight accounting half of :meth:`run_streaming`, shared
-        with the multi-query engine (which wires its own preprojection
-        before constructing the :class:`StreamingRun`).  The caller owns
-        the checkout until a run's release guard exists: a construction
+        with the multi-query engine (which wires its own lane before
+        constructing the :class:`StreamingRun`).  The caller owns the
+        checkout until a run's release guard exists: a construction
         failure in between must hand it back through
         :meth:`_on_run_closed` or the session wedges.
         """
@@ -529,7 +743,7 @@ class QuerySession:
                 raise RuntimeError(
                     "QuerySession has a streaming run in flight on thread "
                     f"{self._stream_owner} (this is thread {ident}); a "
-                    "session's matcher/buffer checkout is single-client.  "
+                    "session's buffer checkout is single-client.  "
                     "For concurrent evaluation share one "
                     "repro.engine.pool.SessionPool across threads, or serve "
                     "clients over the network with `gcx serve` "
@@ -537,16 +751,23 @@ class QuerySession:
                 )
             self._stream_owner = ident
             self._active_streams += 1
-            buffer = self._acquire_buffer_locked()
-            matcher = self._acquire_matcher_locked()
-        return buffer, matcher
+            # The recycled spare if there is one: concurrent (interleaved)
+            # runs each get their own buffer, and the spare slot only ever
+            # holds a buffer whose run has completed.
+            spare, self._spare_buffer = self._spare_buffer, None
+        return spare if spare is not None else self.runtime.new_buffer()
 
     # -- run-owner callbacks (invoked by StreamingRun exactly once) -----
 
     def _on_run_finished(self, buffer: BufferTree) -> None:
         with self._lock:
             self.runs_completed += 1
-            self._release_buffer_locked(buffer)
+            if self._spare_buffer is None:
+                # Reset before parking (not at acquire): a run that ended
+                # without exhausting its input may still hold buffered
+                # nodes, and an idle session must not pin a document
+                # subtree in memory.  reset() keeps the tag table warm.
+                self._spare_buffer = buffer.reset()
             self._leave_stream_locked()
 
     def _on_run_closed(self, buffer: BufferTree) -> None:
@@ -560,186 +781,21 @@ class QuerySession:
         if self._active_streams == 0:
             self._stream_owner = None
 
-    def _acquire_matcher_locked(self) -> StreamMatcher:
-        """The shared warm matcher, replaced if a past run bloated it.
-
-        DFA states are keyed on match multisets, whose variety grows with
-        input shape (a depth-N document under a descendant axis interns
-        ~N states), so one adversarial document could otherwise pin memory
-        for the session's lifetime.  In-flight runs keep their reference to
-        the old matcher; only future runs see the fresh one.
-        """
-        if self._matcher.state_count > MATCHER_STATE_CAP:
-            self._matcher = StreamMatcher(
-                self._compiled.projection_tree,
-                aggregate_roles=self.options.aggregate_roles,
-            )
-        return self._matcher
-
-    def _chain_guide(self) -> ChainGuide:
-        """The shared warm chain guide (certified queries only)."""
-        with self._lock:
-            guide = self._warm_chain_guide = warm_chain_guide(
-                self._warm_chain_guide, self._compiled
-            )
-        return guide
-
-    # -- buffer recycling ----------------------------------------------
-
-    def _acquire_buffer_locked(self) -> BufferTree:
-        """A fresh-state buffer: the recycled spare if available, else new.
-
-        Concurrent (interleaved) runs each get their own buffer — the spare
-        slot only ever holds a buffer whose run has completed.
-        """
-        spare, self._spare_buffer = self._spare_buffer, None
-        if spare is not None:
-            return spare
-        return BufferTree(self.options.cost_model, strict=self.options.strict)
-
-    def _release_buffer_locked(self, buffer: BufferTree) -> None:
-        if self._spare_buffer is None:
-            # Reset before parking (not at acquire): a run that ended
-            # without exhausting its input may still hold buffered nodes,
-            # and an idle session must not pin a document subtree in
-            # memory.  reset() keeps the tag symbol table warm.
-            self._spare_buffer = buffer.reset()
-
-
-def build_streaming_run(
-    owner: RunOwner,
-    document: str | Path | Iterator[Token],
-    buffer: BufferTree,
-    matcher: StreamMatcher,
-    *,
-    on_event: Callable[[str], None] | None = None,
-    interrupt: Callable[[], None] | None = None,
-) -> StreamingRun:
-    """Wire the dynamic half of Figure 11 for one run.
-
-    Shared by :class:`QuerySession` and
-    :class:`~repro.engine.pool.SessionPool`: the caller has already checked
-    out ``buffer`` (exclusive to this run) and ``matcher`` (shareable; its
-    per-run state lives in the preprojector's frame stack), and the
-    returned :class:`StreamingRun` reports back to ``owner`` exactly once.
-
-    Schema-certified queries short-circuit the whole buffered pipeline:
-    the :class:`~repro.engine.direct.DirectEvaluator` streams input tokens
-    straight to output with an empty buffer (and detects schema-violating
-    nesting structurally, so the output stays byte-identical either way),
-    its input scanned under the owner's shared chain guide.
-    The flux-like baseline (``eager_leaf_bindings``) keeps the generic
-    path — its point is to model the *buffered* push-based engine.
-    """
-    constraints = owner.compiled.constraints
-    if (
-        constraints is not None
-        and constraints.zero_buffer is not None
-        and not owner.options.eager_leaf_bindings
-    ):
-        from repro.engine.direct import DirectEvaluator
-
-        guide = owner._chain_guide()
-        direct = DirectEvaluator(
-            guide,
-            document_tokens(
-                document, guide=guide.for_run(buffer.stats), interrupt=interrupt
-            ),
-            buffer.stats,
-            owner.options.cost_model,
-        )
-        return StreamingRun(owner, buffer, direct, direct)
-    preprojector = StreamPreprojector(
-        document_tokens(document, guide=matcher, interrupt=interrupt),
-        owner.compiled.projection_tree,
-        buffer,
-        aggregate_roles=owner.options.aggregate_roles,
-        matcher=matcher,
-        accumulators=build_accumulators(owner.compiled, buffer),
-    )
-    evaluator = Evaluator(
-        owner.compiled.rewritten,
-        buffer,
-        preprojector,
-        None,
-        aggregate_roles=owner.options.aggregate_roles,
-        eager_leaf_bindings=owner.options.eager_leaf_bindings,
-        earliness_sites=earliness_sites(owner.compiled, owner.options),
-        single_match_loops=single_match_loops(owner.compiled, owner.options),
-        join_plan=owner.compiled.joinplan if owner.options.hash_joins else None,
-        on_event=on_event,
-    )
-    return StreamingRun(owner, buffer, preprojector, evaluator)
-
-
-def warm_chain_guide(
-    guide: ChainGuide | None, compiled: CompiledQuery
-) -> ChainGuide:
-    """The chain guide a certified query's next run reads.
-
-    ``guide`` while it is warm; a fresh one when there is none yet or when
-    past documents memoised more than :data:`MATCHER_STATE_CAP` transitions
-    (a document with ever new tag names grows it without bound).  In-flight
-    runs keep the guide they started with.
-    """
-    if guide is None or guide.size > MATCHER_STATE_CAP:
-        from repro.engine.direct import ChainGuide
-
-        guide = ChainGuide(compiled.constraints.zero_buffer)
-    return guide
-
 
 def build_accumulators(
     compiled: CompiledQuery, buffer: BufferTree
 ) -> "AccumulatorRuntime | None":
     """A fresh per-run accumulator automaton, or ``None`` without aggregates.
 
-    Shared by every place that wires a :class:`ProjectionLane` for a
-    compiled query (single-query runs here, the multi-query engine's
-    per-query lanes): accumulable aggregate sites get their O(1) state fed
-    by the lane's token hooks (:mod:`repro.engine.relops.aggregates`).
+    Read by :meth:`QueryRuntime.lane_inputs`, the one place that wires a
+    :class:`ProjectionLane` for a compiled query: accumulable aggregate
+    sites get their O(1) state fed by the lane's token hooks
+    (:mod:`repro.engine.relops.aggregates`).
     """
     sites = collect_aggregate_sites(compiled.rewritten)
     if not sites:
         return None
     return AccumulatorRuntime(sites, buffer)
-
-
-def earliness_sites(
-    compiled: CompiledQuery, options: EngineOptions
-) -> "frozenset[tuple[str, tuple]] | None":
-    """The streamable output sites for one run, or ``None`` when gated off.
-
-    ``None`` (as opposed to an empty set) switches the evaluator's
-    first-witness condition handling off as well, so
-    ``EngineOptions(earliness=False)`` really is the conservative engine —
-    the differential suites compare the two for byte-identity and the
-    ``tokens_held_before_emit`` monotonicity property.
-    """
-    if (
-        not options.earliness
-        or not options.aggregate_roles
-        or options.eager_leaf_bindings
-    ):
-        return None
-    plan = compiled.earliness
-    return plan.streamable_sites if plan is not None else frozenset()
-
-
-def single_match_loops(
-    compiled: CompiledQuery, options: EngineOptions
-) -> "frozenset[str] | None":
-    """Schema-certified at-most-once loops, gated on ``trust_schema``.
-
-    These watermarks assume the document conforms (a violating second
-    match would be skipped), so — unlike the structural ``open`` and
-    first-witness watermarks — they are only handed to the evaluator in
-    trusted mode.  The adversarial splicing suite relies on this gate.
-    """
-    if options.trust_schema and earliness_sites(compiled, options) is not None:
-        plan = compiled.earliness
-        return plan.single_match_loops if plan is not None else frozenset()
-    return None
 
 
 def drain_streaming_run(

@@ -16,9 +16,9 @@ Since the multi-query engine, the per-query state machine lives in
 buffering decisions and cancellation handling for *one* query.
 :class:`StreamPreprojector` is the N=1 composition: one token pump driving
 one lane.  The shared-stream dispatcher
-(:class:`~repro.stream.shared.SharedPreprojector`) drives N lanes from the
-same pump, which is what makes single-query evaluation literally the N=1
-case of the shared path.
+(:class:`~repro.stream.shared.SharedPreprojector`) drives N lanes from a
+pump of its own; a single-query run keeps this class's pump, so it shares
+the lane, not the pump, with the shared path.
 """
 
 from __future__ import annotations

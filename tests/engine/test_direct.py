@@ -234,7 +234,7 @@ def copy_routes(document: bytes, directory: Path) -> dict:
 
 def chunked_run(session: QuerySession, document: bytes, chunk_size: int = 16):
     """The certified runner over a guided 16-byte-chunk scan."""
-    guide = session._chain_guide()
+    guide = session.runtime.chain_guide()
     stats = BufferStats()
     direct = DirectEvaluator(
         guide,
@@ -367,16 +367,16 @@ class TestSharedChainGuide:
     def test_one_warm_guide_per_session(self, schema):
         session = GCXEngine().session(SUBTREE_QUERY, schema=schema)
         session.run(CONFORMING)
-        guide = session._chain_guide()
+        guide = session.runtime.chain_guide()
         size = guide.size
         session.run(CONFORMING)
-        assert session._chain_guide() is guide and guide.size == size > 0
+        assert session.runtime.chain_guide() is guide and guide.size == size > 0
 
     def test_one_warm_guide_per_pool(self, schema):
         with SessionPool(SUBTREE_QUERY, schema=schema, max_workers=2) as pool:
             outputs = list(pool.map([CONFORMING, VIOLATING] * 4))
-            guide = pool._chain_guide()
-            assert pool._chain_guide() is guide
+            guide = pool.runtime.chain_guide()
+            assert pool.runtime.chain_guide() is guide
         _, off = run_both(SUBTREE_QUERY, VIOLATING, schema)
         assert outputs[1].output == off.output
 
@@ -384,9 +384,9 @@ class TestSharedChainGuide:
         session = GCXEngine().session(SUBTREE_QUERY, schema=schema)
         tags = "".join(f"<t{i}/>" for i in range(MATCHER_STATE_CAP + 1))
         session.run(f"<r>{tags}<a/></r>")
-        bloated = session._warm_chain_guide
+        bloated = session.runtime._chain_guide
         assert bloated.size > MATCHER_STATE_CAP
-        assert session._chain_guide() is not bloated
+        assert session.runtime.chain_guide() is not bloated
         assert session.run(CONFORMING).output == run_both(
             SUBTREE_QUERY, CONFORMING, schema
         )[1].output

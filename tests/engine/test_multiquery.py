@@ -20,9 +20,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine import MultiQuerySession, QuerySession
+from repro.engine import MultiQuerySession, QuerySession, SessionPool
 from repro.engine.session import EngineOptions
 from repro.xmark.queries import XMARK_QUERIES
+from repro.xmark.schema import xmark_schema
 from repro.xmlio.lexer import tokenize
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -42,6 +43,47 @@ def golden(name: str) -> str:
 
 def all_queries() -> dict[str, str]:
     return {name: XMARK_QUERIES[name].adapted for name in QUERY_NAMES}
+
+
+def solo_run(query, document, schema):
+    return QuerySession(query, schema=schema).run(document)
+
+
+def pool_run(query, document, schema):
+    with SessionPool(query, schema=schema, max_workers=2) as pool:
+        return pool.run(document)
+
+
+def pool_map(query, document, schema):
+    with SessionPool(query, schema=schema, max_workers=2) as pool:
+        (result,) = pool.map([document])
+    return result
+
+
+def multi_run(query, document, schema):
+    return MultiQuerySession({"q": query}, schema=schema).run(document)["q"]
+
+
+def pool_map_multi(query, document, schema):
+    with SessionPool(query, schema=schema, max_workers=2) as pool:
+        (results,) = pool.map_multi([document], {"q": query})
+    return results["q"]
+
+
+#: Every front-end evaluating one query over one document.
+FRONT_ENDS = {
+    "QuerySession.run": solo_run,
+    "SessionPool.run": pool_run,
+    "SessionPool.map": pool_map,
+    "MultiQuerySession.run": multi_run,
+    "SessionPool.map_multi": pool_map_multi,
+}
+
+
+def buffer_figures(result) -> tuple[int, int]:
+    """``(hwm_nodes, raw hwm_bytes)`` of a RunResult or a PoolResult."""
+    stats = getattr(result, "stats", result)
+    return stats.hwm_nodes, stats.hwm_bytes
 
 
 class TestDifferentialConformance:
@@ -66,11 +108,25 @@ class TestDifferentialConformance:
         for name, text in all_queries().items():
             assert results[name].output == QuerySession(text).run(document).output
 
-    def test_single_query_is_the_n1_case(self, document):
-        """One-query multi session == plain QuerySession, byte for byte."""
-        multi = MultiQuerySession({"Q1": XMARK_QUERIES["Q1"].adapted})
-        single = QuerySession(XMARK_QUERIES["Q1"].adapted)
-        assert multi.run(document)["Q1"].output == single.run(document).output
+    @pytest.mark.parametrize(
+        "schema", [None, xmark_schema()], ids=["no-schema", "xmark"]
+    )
+    @pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
+    @pytest.mark.parametrize("name", QUERY_NAMES)
+    def test_single_query_is_the_n1_case(self, document, name, front_end, schema):
+        """Every front-end agrees with a plain QuerySession on one query.
+
+        Without a schema every front-end runs the same buffered pipeline,
+        so the buffer high watermark agrees too (raw bytes, the unit
+        PoolResult reports).  With the schema a solo run of a certified
+        query goes direct while a multi session keeps the generic
+        evaluator: only the output is comparable."""
+        query = XMARK_QUERIES[name].adapted
+        result = FRONT_ENDS[front_end](query, document, schema)
+        assert result.output == golden(name)
+        if schema is None:
+            solo = QuerySession(query).run(document)
+            assert buffer_figures(result) == buffer_figures(solo)
 
 
 class TestSingleScanInvariant:
@@ -208,6 +264,23 @@ class TestRunMachinery:
         results = session.run(GOLDENS / "document.xml")
         assert results["Q1"].output == golden("Q1")
 
+    def test_streaming_pass_counts_as_one_completed_run(self, document):
+        """A drained run_streaming pass counts once, like run(); a closed
+        pass does not count."""
+        session = MultiQuerySession(
+            {"Q1": XMARK_QUERIES["Q1"].adapted, "Q6": XMARK_QUERIES["Q6"].adapted}
+        )
+        for _pair in session.run_streaming(document):
+            pass
+        assert session.runs_completed == 1
+        assert [m.runs_completed for m in session.sessions.values()] == [1, 1]
+        session.run(document)
+        assert session.runs_completed == 2
+        stream = session.run_streaming(document)
+        next(stream)
+        stream.close()
+        assert session.runs_completed == 2
+
     def test_aggregate_accounting_settles(self, document):
         session = MultiQuerySession(all_queries())
         session.run(document)
@@ -255,6 +328,19 @@ class TestConstruction:
         session = MultiQuerySession({"Q1": compiled})
         assert session.compiled("Q1") is compiled
         assert session.run(document)["Q1"].output == golden("Q1")
+
+    def test_runtimes_are_adopted_with_their_options(self, document):
+        """map_multi hands its workers shared runtimes: compiled and
+        trusted once, never again per worker session."""
+        from repro.engine.session import QueryRuntime
+
+        options = EngineOptions(hash_joins=False)
+        runtime = QueryRuntime(XMARK_QUERIES["Q1"].adapted, options)
+        session = MultiQuerySession({"Q1": runtime}, options)
+        assert session.sessions["Q1"].runtime is runtime
+        assert session.run(document)["Q1"].output == golden("Q1")
+        with pytest.raises(ValueError, match="its own options"):
+            MultiQuerySession({"Q1": runtime}, EngineOptions())
 
     def test_empty_query_set_is_rejected(self):
         with pytest.raises(ValueError, match="at least one query"):

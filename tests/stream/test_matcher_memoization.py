@@ -7,8 +7,14 @@ repeated tags, and byte-identical preprojection output between a memoized
 
 from __future__ import annotations
 
+from functools import partial
+
+import pytest
+
 from repro.analysis import CompileOptions, compile_query
 from repro.buffer import BufferTree
+from repro.engine.pool import SessionPool
+from repro.engine.session import QuerySession
 from repro.stream import StreamMatcher, StreamPreprojector
 from repro.xmark import generate_xmark
 from repro.xmlio import tokenize
@@ -152,22 +158,31 @@ class TestSharedMatcherGuard:
             raise AssertionError("mismatched matcher was accepted")
 
 
+#: Each front-end (its run() executes on the calling thread, so the pool
+#: starts no executor) and how to read the warm matcher its runs share.
+FRONT_ENDS = {
+    "QuerySession": (QuerySession, lambda session: session.runtime._matcher),
+    "SessionPool": (partial(SessionPool, max_workers=1), lambda pool: pool.matcher),
+}
+
+
 class TestSessionMatcherCap:
-    def test_bloated_matcher_is_replaced_between_runs(self, monkeypatch):
+    @pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
+    def test_bloated_matcher_is_replaced_between_runs(self, monkeypatch, front_end):
         from repro.engine import session as session_module
-        from repro.engine.session import QuerySession
 
         # A small cap keeps the adversarial document shallow enough for
         # the evaluator's per-level recursion.
         monkeypatch.setattr(session_module, "MATCHER_STATE_CAP", 64)
-        session = QuerySession("<out>{for $n in //x//name return $n}</out>")
-        first = session._matcher
+        make, matcher_of = FRONT_ENDS[front_end]
+        front = make("<out>{for $n in //x//name return $n}</out>")
+        first = matcher_of(front)
         # Nested matches of the descendant step intern roughly one DFA
         # state per nesting level: a deep document inflates past the cap.
         depth = 100
         deep = "<site>" + "<x>" * depth + "</x>" * depth + "</site>"
-        session.run(deep)
+        front.run(deep)
         assert first.state_count > 64
-        session.run("<site><name>n</name></site>")
-        assert session._matcher is not first
-        assert session._matcher.state_count <= 64
+        front.run("<site><name>n</name></site>")
+        assert matcher_of(front) is not first
+        assert matcher_of(front).state_count <= 64
