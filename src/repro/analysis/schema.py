@@ -31,7 +31,7 @@ Two wrinkles inherited from the attribute conversion:
 
 The derived facts (:meth:`allows`, :meth:`max_occurs`, :meth:`closers`,
 :meth:`reachable_from`, …) are cached on first use; instances are
-immutable and picklable (they ride to pool worker processes).
+immutable, so one instance is safely shared by every thread of a pool.
 """
 
 from __future__ import annotations

@@ -80,7 +80,6 @@ class FluxLikeEngine:
                 early_updates=False,
                 eliminate_redundant_roles=False,
                 eager_leaf_bindings=True,
-                strict=True,
                 cost_model=cost_model or FLUX_COST_MODEL,
             )
         )

@@ -36,6 +36,7 @@ from repro.bench import (
     shape_report,
 )
 from repro.xmark import XMARK_QUERIES, generate_xmark
+from repro.xmlio import XMLSyntaxError
 from repro.xquery import unparse
 
 __all__ = ["main"]
@@ -84,13 +85,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve_p.add_argument(
         "--workers", type=int, default=4, help="pool worker count (default 4)"
-    )
-    serve_p.add_argument(
-        "--executor",
-        default="thread",
-        choices=("thread", "process"),
-        help="thread workers share the warm DFA; process workers buy real "
-        "CPU parallelism on multi-core hosts (default thread)",
     )
     serve_p.add_argument(
         "--chunksize",
@@ -262,6 +256,30 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+#: What a document that cannot be opened or parsed raises.  Narrower than
+#: ``OSError`` so that a closed stdout (``BrokenPipeError``) is not
+#: reported as a document error.
+_DOCUMENT_ERRORS = (
+    FileNotFoundError,
+    IsADirectoryError,
+    NotADirectoryError,
+    PermissionError,
+    UnicodeDecodeError,
+    XMLSyntaxError,
+)
+
+
+def _document_error(path: str, error: Exception) -> int:
+    """Report ``ERROR: <path>: <message>`` on stderr; the exit status 1."""
+    message = str(error)
+    if isinstance(error, XMLSyntaxError) and error.line is not None:
+        message = f"line {error.line}, column {error.column}: {message}"
+    elif isinstance(error, OSError) and error.strerror:
+        message = error.strerror
+    print(f"ERROR: {path}: {message}", file=sys.stderr)
+    return 1
+
+
 def _load_schema(path: str | None):
     """``--schema PATH`` -> :class:`~repro.analysis.schema.Schema` or None."""
     if path is None:
@@ -293,7 +311,10 @@ def _cmd_run(args) -> int:
     if args.engine == "gcx" and not args.buffered:
         return _run_streaming(engine, compiled, args)
     for path in args.document:
-        result = engine.run(compiled, _read(path))
+        try:
+            result = engine.run(compiled, _read(path))
+        except _DOCUMENT_ERRORS as error:
+            return _document_error(path, error)
         print(result.output)
         if args.stats:
             print(f"{path}: {result.stats.summary()}", file=sys.stderr)
@@ -308,12 +329,15 @@ def _run_streaming(engine, compiled, args) -> int:
     for path in args.document:
         # The session tokenizes (chunked, guided by its matcher): dead
         # subtrees show up under --stats as tokens skipped at scan time.
-        stream = session.run_streaming(sys.stdin if path == "-" else Path(path))
-        for fragment in stream.serialized():
-            sys.stdout.write(fragment)
-            # Flush per fragment: a piped consumer must see output as it
-            # is decided, not when the 8KB stdio buffer happens to fill.
-            sys.stdout.flush()
+        try:
+            stream = session.run_streaming(sys.stdin if path == "-" else Path(path))
+            for fragment in stream.serialized():
+                sys.stdout.write(fragment)
+                # Flush per fragment: a piped consumer must see output as
+                # it is decided, not when the 8KB stdio buffer fills.
+                sys.stdout.flush()
+        except _DOCUMENT_ERRORS as error:
+            return _document_error(path, error)
         sys.stdout.write("\n")
         sys.stdout.flush()
         result = stream.result
@@ -351,26 +375,24 @@ def _cmd_serve_batch(args) -> int:
         print("ERROR: --chunksize must be >= 1", file=sys.stderr)
         return 2
     started = time.perf_counter()
-    with SessionPool(
-        query,
-        max_workers=args.workers,
-        executor=args.executor,
-    ) as pool:
+    with SessionPool(query, max_workers=args.workers) as pool:
         documents = [Path(path) for path in args.document]
-        for path, result in zip(
-            args.document, pool.map(documents, chunksize=args.chunksize)
-        ):
-            print(result.output)
-            if args.stats:
-                print(
-                    f"{path}: hwm {result.hwm_nodes} nodes / "
-                    f"{result.hwm_bytes} bytes; "
-                    f"{result.tokens_read} tokens read",
-                    file=sys.stderr,
-                )
+        results = pool.map(documents, chunksize=args.chunksize)
+        try:
+            for path, result in zip(args.document, results):
+                print(result.output)
+                if args.stats:
+                    print(
+                        f"{path}: hwm {result.hwm_nodes} nodes / "
+                        f"{result.hwm_bytes} bytes; "
+                        f"{result.tokens_read} tokens read",
+                        file=sys.stderr,
+                    )
+        except _DOCUMENT_ERRORS as error:
+            # The pool names the failing document, even inside a chunk.
+            failed = documents.index(error.document)
+            return _document_error(args.document[failed], error)
         elapsed = time.perf_counter() - started
-    # Snapshot after close(): executor shutdown has run every future's
-    # done-callback, so process-mode run counters are exact here.
     stats = pool.stats
     if args.stats:
         rate = len(args.document) / elapsed if elapsed > 0 else float("inf")
@@ -443,10 +465,13 @@ def _cmd_run_multi(args) -> int:
     from repro.xmlio.serialize import StringSink
 
     for doc_path in args.doc:
-        stream = session.run_streaming(Path(doc_path))
         sinks = {name: StringSink() for name in names}
-        for name, token in stream:
-            sinks[name].write(token)
+        try:
+            stream = session.run_streaming(Path(doc_path))
+            for name, token in stream:
+                sinks[name].write(token)
+        except _DOCUMENT_ERRORS as error:
+            return _document_error(doc_path, error)
         if len(args.doc) > 1:
             print(f"# {doc_path}")
         for name in names:

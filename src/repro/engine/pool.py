@@ -28,17 +28,10 @@ peak (``PoolStats.peak_live_nodes``
 / ``peak_live_bytes``) — the serving-layer analogue of the paper's
 per-run buffer high watermark.
 
-Two executors:
-
-* ``executor="thread"`` (default): a ``ThreadPoolExecutor`` sharing the
-  compiled query and the warm DFA across workers.  Under CPython's GIL
-  this does not parallelize the CPU work; its win is amortization (compile
-  once, warm matcher/buffers) plus overlap with any I/O in tokenization.
-* ``executor="process"``: a ``ProcessPoolExecutor`` whose workers each
-  compile the query once at startup; documents are shipped to workers and
-  slim :class:`PoolResult` values come back.  This buys real CPU
-  parallelism on multi-core hosts at the price of per-process static
-  state (nothing is shared) and pickling.  Requires the query as text.
+``submit``/``map`` run on a ``ThreadPoolExecutor`` sharing the compiled
+query and the warm DFA across workers.  Under CPython's GIL this does not
+parallelize the CPU work; its win is amortization (compile once, warm
+matcher/buffers) plus overlap with any I/O in tokenization.
 
 ``map`` is ordered and backpressured: at most a bounded window of work is
 in flight, and the ``documents`` iterable is consumed lazily, so a pool
@@ -51,11 +44,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import (
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -69,7 +58,6 @@ from repro.engine.session import (
     AggregateAccountant,
     EngineOptions,
     QueryRuntime,
-    QuerySession,
     RunResult,
     StreamingRun,
     drain_streaming_run,
@@ -84,13 +72,12 @@ __all__ = ["PoolResult", "PoolStats", "SessionPool"]
 
 @dataclass(frozen=True)
 class PoolResult:
-    """Slim, picklable outcome of one pooled evaluation.
+    """Slim outcome of one pooled evaluation.
 
-    ``submit``/``map`` return these instead of full
-    :class:`~repro.engine.session.RunResult` objects so that thread and
-    process executors have one result type: the compiled-query reference
-    (process workers would have to pickle a whole AST) is dropped, the
-    numbers the serving layer cares about are kept.
+    ``submit``/``map``/``map_multi`` return these instead of full
+    :class:`~repro.engine.session.RunResult` objects: a completed future
+    holds only the output and the numbers the serving layer cares about,
+    not a reference to the compiled query.
     """
 
     output: str
@@ -121,15 +108,11 @@ class PoolStats:
 
     The ``live_*``/``peak_live_*`` fields aggregate over *all* buffers
     checked out at the same time — the number a capacity planner needs,
-    where per-run statistics only bound one client.  Process-executor runs
-    happen in other address spaces: they count in ``runs_started`` (exact,
-    recorded at submit) and ``runs_completed``/``runs_abandoned``
-    (recorded by future callbacks, which may lag ``future.result()`` by an
-    instant; exact once the pool is closed), but cannot contribute to the
-    live aggregates.
+    where per-run statistics only bound one client.  ``map_multi`` runs
+    count in the run counters but check no buffer out of the pool, so they
+    add nothing to the live aggregates.
     """
 
-    executor: str
     max_workers: int
     runs_started: int
     runs_completed: int
@@ -148,22 +131,14 @@ class PoolStats:
     outstanding_checkouts: int = 0
 
     def summary(self) -> str:
-        if self.executor == "process":
-            # Remote runs never feed the live accountant; printing the
-            # structurally-zero aggregates would read as a measured peak.
-            aggregate = "aggregate hwm n/a (process workers)"
-        else:
-            aggregate = (
-                f"aggregate hwm {self.peak_live_nodes} nodes / "
-                f"{self.peak_live_bytes} bytes across "
-                f"{self.peak_active_runs} concurrent run(s); "
-                f"{self.buffers_created} buffer(s) allocated"
-            )
         return (
             f"{self.runs_completed} runs "
             f"({self.runs_abandoned} abandoned) on "
-            f"{self.max_workers} {self.executor} worker(s); "
-            f"{aggregate}"
+            f"{self.max_workers} thread worker(s); "
+            f"aggregate hwm {self.peak_live_nodes} nodes / "
+            f"{self.peak_live_bytes} bytes across "
+            f"{self.peak_active_runs} concurrent run(s); "
+            f"{self.buffers_created} buffer(s) allocated"
         )
 
 
@@ -189,26 +164,11 @@ class SessionPool:
         *,
         schema: Schema | None = None,
         max_workers: int = 4,
-        executor: str = "thread",
-        max_idle_buffers: int | None = None,
     ) -> None:
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if executor not in ("thread", "process"):
-            raise ValueError(
-                f"executor must be 'thread' or 'process', got {executor!r}"
-            )
         self.max_workers = max_workers
-        self.executor_kind = executor
-        self._query_text = query if isinstance(query, str) else None
-        if executor == "process" and self._query_text is None:
-            raise ValueError(
-                "executor='process' needs the query as text: worker "
-                "processes each compile their own copy at startup"
-            )
-        # Schema is kept for the process-executor initializer (workers
-        # each re-run the schema-aware compilation on their own copy) and
-        # for map_multi's member queries.
+        # Kept for map_multi's member queries.
         self._schema = schema
         # Shared static half (Figure 11's left side), including the warm
         # matcher every run reads and warms.
@@ -230,9 +190,6 @@ class SessionPool:
         # contexts (see session._ReleaseGuard); reaped before checkouts,
         # stats snapshots, and shutdown.
         self._dropped_runs: list = []
-        self._max_idle = (
-            max_idle_buffers if max_idle_buffers is not None else max_workers
-        )
         self._buffers_created = 0
         # Run lifecycle counters (the pool lock); residency is the
         # accountant's, under its own lock, always taken second.
@@ -242,7 +199,7 @@ class SessionPool:
         self._active_runs = 0
         self._peak_active_runs = 0
         self._accountant = AggregateAccountant()
-        self._executor: ThreadPoolExecutor | ProcessPoolExecutor | None = None
+        self._executor: ThreadPoolExecutor | None = None
         # _closing rejects *new* submissions while close() drains the
         # queued work; _closed (set once the drain finished) additionally
         # rejects checkouts, i.e. direct run/run_streaming calls.
@@ -268,7 +225,6 @@ class SessionPool:
         acct = self._accountant
         with self._lock, acct._lock:
             return PoolStats(
-                executor=self.executor_kind,
                 max_workers=self.max_workers,
                 runs_started=self._runs_started,
                 runs_completed=self._runs_completed,
@@ -301,22 +257,6 @@ class SessionPool:
             self._executor = None
         if executor is not None:
             executor.shutdown(wait=True)
-            if self.executor_kind == "process":
-                # Remote run counters are recorded by future callbacks,
-                # which may lag shutdown by an instant; settle them so the
-                # counters are exact once close() returns, as documented.
-                # Bounded: with the executor drained and _closing set, no
-                # new remote runs can start.
-                deadline = time.monotonic() + 5.0
-                while time.monotonic() < deadline:
-                    with self._lock:
-                        settled = (
-                            self._runs_completed + self._runs_abandoned
-                            >= self._runs_started
-                        )
-                    if settled:
-                        break
-                    time.sleep(0.001)
         with self._lock:
             self._closed = True
 
@@ -370,16 +310,10 @@ class SessionPool:
         both are returned when the run is exhausted, closed, or dies.
         Any number of threads — and any number of interleaved runs per
         thread — may hold streaming runs from one pool simultaneously.
-        Not available on process pools (runs live in other processes).
         ``interrupt`` rides the input stream (see
         :func:`~repro.engine.session.document_tokens`): it is called per
         delivered token and aborts the run by raising.
         """
-        if self.executor_kind == "process":
-            raise RuntimeError(
-                "run_streaming is not available on a process pool: worker "
-                "processes cannot stream tokens into this one"
-            )
         buffer = self._checkout_buffer()
         try:
             return self.runtime.streaming_run(
@@ -408,17 +342,10 @@ class SessionPool:
         """Schedule one evaluation on the pool; returns a future.
 
         Futures resolve to :class:`PoolResult`.  Exceptions raised by the
-        evaluation surface through ``future.result()`` as usual.
+        evaluation surface through ``future.result()`` as usual, with the
+        document that raised as their ``document`` attribute.
         """
-        executor = self._ensure_executor()
-        if self.executor_kind == "process":
-            self._count_runs(started=1)
-            future = executor.submit(
-                _process_serve_one, document
-            )  # type: Future[PoolResult]
-            future.add_done_callback(partial(self._count_remote, 1))
-            return future
-        return executor.submit(self._serve_one, document)
+        return self._ensure_executor().submit(self._serve_one, document)
 
     def map(
         self,
@@ -434,15 +361,11 @@ class SessionPool:
         at once and ``documents`` is consumed lazily, so both sides stay
         bounded however long the request stream is.  ``chunksize`` batches
         several documents per task — worth using when the documents are
-        small enough that per-task dispatch overhead would dominate.
+        small enough that per-task dispatch overhead would dominate.  A
+        failed evaluation raises out of the iteration with the document
+        that failed as its ``document`` attribute (its whole chunk fails).
         """
         executor = self._ensure_executor()
-        if self.executor_kind == "process":
-            serve = _process_serve_chunk
-            remote = True
-        else:
-            serve = self._serve_chunk
-            remote = False
 
         def submit_chunk(chunk: list[str | Path]) -> Future:
             # Chunks are submitted lazily as the caller iterates; re-check
@@ -451,14 +374,7 @@ class SessionPool:
             with self._lock:
                 if self._closed or self._closing:
                     raise RuntimeError("SessionPool is closed")
-            if remote:
-                self._count_runs(started=len(chunk))
-            future = executor.submit(serve, chunk)
-            if remote:
-                future.add_done_callback(
-                    partial(self._count_remote, len(chunk))
-                )
-            return future
+            return executor.submit(self._serve_chunk, chunk)
 
         return self._windowed(documents, chunksize, window, submit_chunk)
 
@@ -487,17 +403,10 @@ class SessionPool:
         The pool's own compiled query is *not* implicitly included —
         ``queries`` is the complete standing set.  Run counting feeds the
         pool statistics (one run per query per document); the live buffer
-        aggregates are tracked per multi-session, not pool-wide.  Thread
-        executors only: process workers would re-compile per process,
-        which :meth:`map` with one query already covers.
+        aggregates are tracked per multi-session, not pool-wide.
         """
         from repro.engine.multi import MultiQuerySession
 
-        if self.executor_kind == "process":
-            raise RuntimeError(
-                "map_multi requires a thread executor: the shared compiled "
-                "artifacts live in this process"
-            )
         if isinstance(queries, Mapping):
             named = list(queries.items())
         else:
@@ -583,28 +492,26 @@ class SessionPool:
     # -- worker bodies ---------------------------------------------------
 
     def _serve_one(self, document: str | Path) -> PoolResult:
-        return PoolResult.from_run(self.run(document))
+        try:
+            return PoolResult.from_run(self.run(document))
+        except Exception as error:
+            # A chunk's future fails as a whole: say which document broke it.
+            error.document = document
+            raise
 
     def _serve_chunk(self, documents: list[str | Path]) -> list[PoolResult]:
         return [self._serve_one(document) for document in documents]
 
-    def _count_remote(self, count: int, future: Future) -> None:
-        if future.cancelled() or future.exception() is not None:
-            self._count_runs(abandoned=count)
-        else:
-            self._count_runs(completed=count)
-
     def _count_runs(
         self, *, started: int = 0, completed: int = 0, abandoned: int = 0
     ) -> None:
-        """Count runs outside the local checkout machinery.
+        """Count ``map_multi`` runs, which check no buffer out of this pool.
 
-        Remote runs (process workers, ``map_multi`` passes) never check a
-        buffer out of this pool; ``started`` is counted synchronously at
-        submit time, so it is always exact.  A remote task that died
-        abandons all its runs: a mid-chunk failure abandons the whole
-        chunk from the caller's point of view (its future raises), so the
-        whole chunk counts even if some documents evaluated first.
+        ``started`` is counted synchronously at submit time, so it is
+        always exact.  A chunk that died abandons all its runs: a
+        mid-chunk failure abandons the whole chunk from the caller's point
+        of view (its future raises), so the whole chunk counts even if
+        some documents evaluated first.
         """
         with self._lock:
             self._runs_started += started
@@ -670,58 +577,24 @@ class SessionPool:
                 "buffer release violation: buffer was not checked out"
             )
         # Park with a warm tag table; abandoned runs' residue is cleared
-        # by reset() just the same, so recycling is always safe.
+        # by reset() just the same, so recycling is always safe.  At most
+        # max_workers are parked: a burst of interleaved runs beyond that
+        # leaves its extra buffers to the garbage collector.
         buffer.reset()
         with self._lock:
-            if not self._closed and len(self._idle_buffers) < self._max_idle:
+            if not self._closed and len(self._idle_buffers) < self.max_workers:
                 self._idle_buffers.append(buffer)
 
     # -- executor ---------------------------------------------------------
 
-    def _ensure_executor(self) -> ThreadPoolExecutor | ProcessPoolExecutor:
+    def _ensure_executor(self) -> ThreadPoolExecutor:
         with self._lock:
             if self._closed or self._closing:
                 raise RuntimeError("SessionPool is closed")
             if self._executor is None:
-                if self.executor_kind == "process":
-                    self._executor = ProcessPoolExecutor(
-                        max_workers=self.max_workers,
-                        initializer=_process_worker_init,
-                        initargs=(self._query_text, self.options, self._schema),
-                    )
-                else:
-                    self._executor = ThreadPoolExecutor(
-                        max_workers=self.max_workers,
-                        thread_name_prefix="gcx-pool",
-                    )
+                self._executor = ThreadPoolExecutor(
+                    max_workers=self.max_workers,
+                    thread_name_prefix="gcx-pool",
+                )
             return self._executor
 
-
-# ----------------------------------------------------------------------
-# process-executor workers (module level: must be picklable by reference)
-# ----------------------------------------------------------------------
-
-_WORKER_SESSION: QuerySession | None = None
-
-
-def _process_worker_init(
-    query_text: str, options: EngineOptions, schema: Schema | None = None
-) -> None:
-    """Compile once per worker process (the pool's initializer)."""
-    global _WORKER_SESSION
-    _WORKER_SESSION = QuerySession(query_text, options, schema=schema)
-
-
-def _process_serve_one(document: str | Path) -> PoolResult:
-    assert _WORKER_SESSION is not None  # initializer ran first
-    started = time.perf_counter()
-    result = _WORKER_SESSION.run(document)
-    # RunResult carries its own elapsed time; keep it, the wall-clock
-    # above only guards against a zero-duration clock on tiny documents.
-    if result.elapsed_seconds <= 0.0:
-        result.elapsed_seconds = time.perf_counter() - started
-    return PoolResult.from_run(result)
-
-
-def _process_serve_chunk(documents: list[str | Path]) -> list[PoolResult]:
-    return [_process_serve_one(document) for document in documents]

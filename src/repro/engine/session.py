@@ -195,7 +195,7 @@ def reap_dropped_runs(owner: RunOwner) -> None:
 
 @dataclass(frozen=True)
 class EngineOptions:
-    """Runtime and analysis switches (Section 6 optimizations + strictness).
+    """Runtime and analysis switches (the Section 6 optimizations).
 
     The defaults match the paper's prototype — every optimization on.  The
     ablation benchmarks toggle them individually; the flux-like baseline
@@ -207,7 +207,6 @@ class EngineOptions:
     early_updates: bool = True
     eliminate_redundant_roles: bool = True
     eager_leaf_bindings: bool = False  # push-based (flux-like) reading
-    strict: bool = True  # raise on undefined role removals / unbalanced roles
     #: Assume documents conform to the compile-time schema (FluX's operating
     #: mode): schema-pruned patterns are dropped from the runtime artifacts.
     #: Off by default — the default engine only applies schema facts whose
@@ -369,8 +368,7 @@ class StreamingRun:
         elapsed = time.perf_counter() - self._started
         runtime = self._owner.runtime
         try:
-            if runtime.options.strict:
-                check_safety(self._buffer, self._preprojector)
+            check_safety(self._buffer, self._preprojector)
         except BaseException:
             # A failed safety check means the buffer state is suspect:
             # release the checkout but do not recycle the buffer.
@@ -551,7 +549,7 @@ class QueryRuntime:
 
     def new_buffer(self) -> BufferTree:
         """An empty buffer for a checkout policy's pool of buffers."""
-        return BufferTree(self.options.cost_model, strict=self.options.strict)
+        return BufferTree(self.options.cost_model)
 
     def lane_inputs(self, buffer: BufferTree, matcher: StreamMatcher) -> dict:
         """The keyword arguments of one run's :class:`ProjectionLane`."""

@@ -19,11 +19,10 @@ Layer map:
   latency-to-first-byte histogram);
 * :mod:`repro.serve.server` — :class:`QueryServer` itself: connection
   handling, per-connection backpressure, per-request timeouts, and
-  graceful drain on SIGTERM;
-* :mod:`repro.serve.testing` — the in-process harness
-  (:class:`~repro.serve.testing.ServerFixture`,
-  :class:`~repro.serve.testing.FaultyTransport`) used by the
-  fault-injection and protocol-conformance suites and the serving bench.
+  graceful drain on SIGTERM.
+
+The in-process harness the fault-injection and protocol-conformance
+suites drive the server with lives with them, in ``tests/serve/harness.py``.
 """
 
 from repro.serve.protocol import (

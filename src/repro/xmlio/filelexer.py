@@ -54,15 +54,9 @@ class FileTokenizer(XMLTokenizer):
         *,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         strip_whitespace: bool = True,
-        convert_attributes: bool = True,
         guide: "object | None" = None,
     ) -> None:
-        super().__init__(
-            b"",
-            strip_whitespace=strip_whitespace,
-            convert_attributes=convert_attributes,
-            guide=guide,
-        )
+        super().__init__(b"", strip_whitespace=strip_whitespace, guide=guide)
         self._stream = stream
         self._chunk_size = max(chunk_size, 16)
         # Cap batch scanning at one chunk so compaction keeps pace and the
@@ -111,7 +105,6 @@ def tokenize_file(
     *,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     strip_whitespace: bool = True,
-    convert_attributes: bool = True,
     guide: "object | None" = None,
 ) -> Iterator[Token]:
     """Tokenize an XML file (path, or open binary/text file) incrementally.
@@ -122,11 +115,7 @@ def tokenize_file(
     is opened and closed by the iterator.  ``guide`` is the scan guide of
     :class:`~repro.xmlio.lexer.XMLTokenizer`.
     """
-    options = {
-        "strip_whitespace": strip_whitespace,
-        "convert_attributes": convert_attributes,
-        "guide": guide,
-    }
+    options = {"strip_whitespace": strip_whitespace, "guide": guide}
     if isinstance(source, (str, Path)):
 
         def generate() -> Iterator[Token]:

@@ -127,6 +127,14 @@ _UNICODE_WS = re.compile(
 #: CPython, which is exactly the kind of regression a bytes rewrite
 #: invites; a single compiled-pattern search beats four of them.)
 _WS_SEARCH = re.compile(rb"[ \t\r\n]").search
+#: The same scan, also stopping at a non-ASCII byte: a dead start tag whose
+#: body matches has attributes or a name whose UTF-8 must be checked.
+_WS_OR_HIGH_SEARCH = re.compile(rb"[ \t\r\n\x80-\xff]").search
+
+#: An attribute name that, written as a tag, does not read back as a start
+#: tag of that name: ``</x>`` is an end tag, ``<!x>`` and ``<?x>`` are
+#: markup, ``<x/>`` closes itself, and whitespace ends the name.
+_NO_TAG_FORM = re.compile(rb"\A[/!?]|/\Z|[ \t\r\n]").search
 
 
 #: Slot-descriptor store for ``LazyText._raw``: the hot loop builds text
@@ -194,6 +202,16 @@ def scan_entry(
         parent_row,
         text_dead,
     )
+
+
+def _decode_name(name: bytes, position: int) -> str:
+    """A tag or attribute name, decoded; an :class:`XMLSyntaxError` at
+    ``position`` when it is not UTF-8.  Every route checks every name, a
+    dead subtree's too, so a name fails alike however it is scanned."""
+    try:
+        return name.decode("utf-8")
+    except UnicodeDecodeError:
+        raise XMLSyntaxError("tag name is not UTF-8", position) from None
 
 
 def _recanonical(raw: bytes) -> bytes:
@@ -297,10 +315,6 @@ class XMLTokenizer:
         between elements are dropped.  XMark documents carry no meaningful
         inter-element whitespace, and the paper's data model has no notion of
         ignorable whitespace either.
-    convert_attributes:
-        When true (the default), attributes are emitted as leading
-        subelements in document order: ``<a x="1">`` becomes
-        ``<a><x>1</x>...``.  This mirrors the paper's benchmark adaptation.
     guide:
         Optional scan guide (duck-typed; the projection matcher and the
         shared pass's product guide implement it): ``root_row()`` returns
@@ -318,7 +332,6 @@ class XMLTokenizer:
         text: "str | bytes | bytearray | memoryview",
         *,
         strip_whitespace: bool = True,
-        convert_attributes: bool = True,
         guide: "object | None" = None,
     ) -> None:
         if isinstance(text, str):
@@ -331,7 +344,6 @@ class XMLTokenizer:
         self._pos = 0
         self._offset = 0  # bytes discarded by compaction (file mode)
         self._strip_whitespace = strip_whitespace
-        self._convert_attributes = convert_attributes
         # Innermost-first stack of the open elements: the row entry (see
         # :func:`scan_entry`) of each delivered element and, above them
         # while a dead subtree is being validated, the bare ``b"</name>"``
@@ -555,7 +567,7 @@ class XMLTokenizer:
                         if not stripped:
                             raise XMLSyntaxError("empty end tag", pos + offset)
                         token = end_tags[key] = EndTag(
-                            intern(stripped.decode("utf-8"))
+                            intern(_decode_name(stripped, pos + offset))
                         )
                     name = token.tag
                     if not open_tags:
@@ -626,6 +638,7 @@ class XMLTokenizer:
                         raise XMLSyntaxError("empty start tag", pos + offset)
                     entry = row.get(name_key)
                     if entry is None:
+                        _decode_name(name_key, pos + offset)
                         entry = self._miss(row, name_key)
                 else:
                     attributes = ()
@@ -662,7 +675,7 @@ class XMLTokenizer:
                         guided = self_closing
                 pos = end + 1
                 append(entry[4])
-                if attributes and self._convert_attributes:
+                if attributes:
                     self._emit_attributes(attributes, child_row)
                 if self_closing:
                     append(entry[2])
@@ -704,7 +717,6 @@ class XMLTokenizer:
         find = data.find
         offset = self._offset
         strip_ws = self._strip_whitespace
-        convert = self._convert_attributes
         open_tags = self._open_tags
         depth = self._dead_depth
         roots = 0 if depth else 1
@@ -759,7 +771,8 @@ class XMLTokenizer:
                             raise XMLSyntaxError("empty end tag", pos + offset)
                         if key != closer[2:-1]:
                             raise XMLSyntaxError(
-                                f"mismatched closing tag </{key.decode('utf-8')}>"
+                                "mismatched closing tag "
+                                f"</{_decode_name(key, pos + offset)}>"
                                 f", expected {closer.decode('utf-8')}",
                                 pos + offset,
                             )
@@ -790,18 +803,20 @@ class XMLTokenizer:
                 else:
                     self_closing = False
                     body = data[pos + 1 : end]
-                if _WS_SEARCH(body) is not None:
+                if _WS_OR_HIGH_SEARCH(body) is None:
+                    if not body:
+                        raise XMLSyntaxError("empty start tag", pos + offset)
+                elif _WS_SEARCH(body) is None:
+                    _decode_name(body, pos + offset)
+                else:
                     body, attributes = self._parse_tag_body(body, pos)
-                    if convert:
-                        for _name, value in attributes:
-                            if value:
-                                tokens += 3
-                                dropped += 2
-                            else:
-                                tokens += 2
-                                dropped += 1
-                elif not body:
-                    raise XMLSyntaxError("empty start tag", pos + offset)
+                    for _name, value in attributes:
+                        if value:
+                            tokens += 3
+                            dropped += 2
+                        else:
+                            tokens += 2
+                            dropped += 1
                 tokens += 1
                 dropped += 1
                 pos = end + 1
@@ -1058,13 +1073,12 @@ class XMLTokenizer:
         """A rewritten start tag as the serializer writes it — attributes
         as leading subelements — and the tokens those add; ``None`` when it
         cannot be copied (an attribute named like the root would be a
-        nested match; an empty or spaced name has no canonical form)."""
-        if not self._convert_attributes:
-            return b"<" + name + b">", 0
+        nested match; an empty name, or one with no tag form, has no
+        canonical form)."""
         chunks = [b"<", name, b">"]
         tokens = 0
         for attr_name, value in attributes:
-            if attr_name == root or not attr_name or _WS_SEARCH(attr_name):
+            if attr_name == root or not attr_name or _NO_TAG_FORM(attr_name):
                 return None
             if value:
                 tokens += 3
@@ -1224,7 +1238,8 @@ class XMLTokenizer:
             eq = body.find(b"=", i)
             if eq == -1:
                 raise XMLSyntaxError(
-                    f"malformed attribute in <{name.decode('utf-8')}>",
+                    "malformed attribute in "
+                    f"<{name.decode('utf-8', 'replace')}>",
                     pos + self._offset,
                 )
             attr_name = body[i:eq].strip()
@@ -1233,7 +1248,8 @@ class XMLTokenizer:
                 j += 1
             if j >= length or body[j] not in b"\"'":
                 raise XMLSyntaxError(
-                    f"unquoted attribute value in <{name.decode('utf-8')}>",
+                    "unquoted attribute value in "
+                    f"<{name.decode('utf-8', 'replace')}>",
                     pos + self._offset,
                 )
             quote = body[j]
@@ -1241,11 +1257,17 @@ class XMLTokenizer:
             if close == -1:
                 raise XMLSyntaxError(
                     "unterminated attribute value in "
-                    f"<{name.decode('utf-8')}>",
+                    f"<{name.decode('utf-8', 'replace')}>",
                     pos + self._offset,
                 )
             attributes.append((attr_name, body[j + 1 : close]))
             i = close + 1
+        if not body.isascii():
+            # Names become tags; values stay bytes until read.
+            position = pos + self._offset
+            _decode_name(name, position)
+            for attr_name, _value in attributes:
+                _decode_name(attr_name, position)
         return name, attributes
 
     def _finish_checks(self) -> None:
@@ -1283,7 +1305,6 @@ def tokenize(
     text: "str | bytes | bytearray | memoryview",
     *,
     strip_whitespace: bool = True,
-    convert_attributes: bool = True,
     guide: "object | None" = None,
 ) -> Iterator[Token]:
     """Tokenize ``text`` into a stream of :class:`~repro.xmlio.tokens.Token`.
@@ -1292,11 +1313,4 @@ def tokenize(
     ``guide`` (see :class:`XMLTokenizer`) dead subtrees arrive as
     :class:`~repro.xmlio.tokens.Skipped` counts.
     """
-    return iter(
-        XMLTokenizer(
-            text,
-            strip_whitespace=strip_whitespace,
-            convert_attributes=convert_attributes,
-            guide=guide,
-        )
-    )
+    return iter(XMLTokenizer(text, strip_whitespace=strip_whitespace, guide=guide))

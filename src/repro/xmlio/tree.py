@@ -122,20 +122,9 @@ class DocumentNode(XMLNode):
         return None
 
 
-def parse_tree(
-    text: str,
-    *,
-    strip_whitespace: bool = True,
-    convert_attributes: bool = True,
-) -> DocumentNode:
+def parse_tree(text: str, *, strip_whitespace: bool = True) -> DocumentNode:
     """Parse document text into a DOM tree."""
-    return build_tree(
-        tokenize(
-            text,
-            strip_whitespace=strip_whitespace,
-            convert_attributes=convert_attributes,
-        )
-    )
+    return build_tree(tokenize(text, strip_whitespace=strip_whitespace))
 
 
 def build_tree(tokens: Iterable[Token]) -> DocumentNode:

@@ -288,6 +288,14 @@ class TestCopyConformance:
         ).encode() + b"<a><b>bad \xff utf-8</b></a></r>"
         assert_copy_conformance(COPY_QUERIES[name], document)
 
+    @pytest.mark.parametrize("name", sorted(COPY_QUERIES))
+    def test_tag_name_not_utf8_inside_a_match(self, name):
+        # A damaged ``<`` before invalid UTF-8 makes a tag name that fails
+        # to decode: the error must surface after the same output on every
+        # route, including the 16-byte-chunk scan.
+        document = b"<r><a><b>one</b><b>two</b><b>ba< \xff x</b></a></r>"
+        assert_copy_conformance(COPY_QUERIES[name], document)
+
     @settings(
         max_examples=80,
         deadline=None,

@@ -1,8 +1,8 @@
-"""Failure injection: malformed input, bad queries, strictness modes."""
+"""Failure injection: malformed input, bad queries, adversarial documents."""
 
 import pytest
 
-from repro.engine import EngineOptions, GCXEngine
+from repro.engine import GCXEngine
 from repro.xmlio import XMLSyntaxError
 from repro.xquery import ScopeError, XQSyntaxError
 
@@ -49,16 +49,6 @@ class TestBadQueries:
             GCXEngine().compile(
                 "<o>{for $a in /r/a return for $a in /r/b return $a}</o>"
             )
-
-
-class TestStrictness:
-    def test_lenient_engine_still_correct(self):
-        options = EngineOptions(strict=False)
-        result = GCXEngine(options).run(QUERY, "<r><a>1</a></r>")
-        assert result.output == "<o><a>1</a></o>"
-
-    def test_strict_is_default(self):
-        assert EngineOptions().strict
 
 
 class TestAdversarialDocuments:

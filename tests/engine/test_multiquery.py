@@ -191,9 +191,7 @@ class TestRunMachinery:
         assert names == {"Q1", "Q13"}
 
     def test_strict_safety_holds_per_lane(self, document):
-        session = MultiQuerySession(
-            all_queries(), EngineOptions(strict=True)
-        )
+        session = MultiQuerySession(all_queries())
         results = session.run(document)  # strict check_safety per run
         for result in results.values():
             assert result.stats.role_accounting_balanced()

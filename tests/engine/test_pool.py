@@ -19,7 +19,7 @@ import pytest
 from repro.engine import GCXEngine, QuerySession, SessionPool
 from repro.engine.pool import PoolResult
 from repro.xmark.queries import XMARK_QUERIES
-from repro.xmlio import StringSink
+from repro.xmlio import StringSink, XMLSyntaxError
 
 from tests.helpers import INTRO_QUERY
 
@@ -229,6 +229,26 @@ class TestAggregateAccounting:
         assert pool.stats.live_nodes == 0
         pool.close()
 
+    def test_summary_reports_the_aggregate(self):
+        doc = serving_documents(3)[2]
+        with SessionPool(Q1, max_workers=3) as pool:
+            streams = [pool.run_streaming(doc) for _ in range(3)]
+            for stream in streams:
+                next(stream)
+            for stream in streams:
+                for _ in stream:
+                    pass
+            stats = pool.stats
+        assert stats.peak_active_runs == 3
+        assert stats.buffers_created == 3
+        assert stats.peak_live_bytes > 0
+        assert stats.summary() == (
+            "3 runs (0 abandoned) on 3 thread worker(s); "
+            f"aggregate hwm {stats.peak_live_nodes} nodes / "
+            f"{stats.peak_live_bytes} bytes across 3 concurrent run(s); "
+            "3 buffer(s) allocated"
+        )
+
     def test_abandoned_run_is_settled(self):
         docs = serving_documents(4)
         with SessionPool(Q1, max_workers=2) as pool:
@@ -259,9 +279,10 @@ class TestMapSemantics:
     def test_map_is_ordered(self):
         docs = serving_documents(24)
         with SessionPool(Q1, max_workers=4) as pool:
-            outputs = [r.output for r in pool.map(docs)]
+            results = list(pool.map(docs))
+        assert all(isinstance(r, PoolResult) for r in results)
         sequential = QuerySession(Q1)
-        assert outputs == [sequential.run(d).output for d in docs]
+        assert [r.output for r in results] == [sequential.run(d).output for d in docs]
 
     def test_map_is_backpressured_and_lazy(self):
         """The documents iterable is pulled as results are consumed, never
@@ -292,10 +313,13 @@ class TestMapSemantics:
         assert outputs == [sequential.run(d).output for d in docs]
 
     def test_map_propagates_evaluation_errors(self):
-        docs = ["<site><people/></site>", "<site><broken>"]
+        docs = ["<site><people/></site>", "<site><broken>", "<site/>"]
         with SessionPool(Q1, max_workers=2) as pool:
-            with pytest.raises(Exception):
-                list(pool.map(docs))
+            for chunksize in (1, 3):
+                with pytest.raises(XMLSyntaxError) as error:
+                    list(pool.map(docs, chunksize=chunksize))
+                # The failing document is named, even inside a chunk.
+                assert error.value.document is docs[1]
 
     def test_map_rejects_bad_arguments(self):
         with SessionPool(Q1) as pool:
@@ -370,62 +394,11 @@ class TestMapMulti:
             for name in expected
         )
 
-    def test_map_multi_rejects_process_executor(self):
-        with SessionPool(Q1, executor="process", max_workers=2) as pool:
-            with pytest.raises(RuntimeError, match="thread executor"):
-                pool.map_multi(["<site/>"], self.QUERIES)
-
     def test_map_multi_after_close_raises(self):
         pool = SessionPool(Q1, max_workers=2)
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
             list(pool.map_multi(["<site/>"], self.QUERIES))
-
-
-class TestProcessExecutor:
-    def test_process_pool_matches_sequential(self):
-        docs = serving_documents(6)
-        sequential = QuerySession(Q1)
-        expected = [sequential.run(doc).output for doc in docs]
-        with SessionPool(Q1, max_workers=2, executor="process") as pool:
-            results = list(pool.map(docs, chunksize=2))
-            assert [r.output for r in results] == expected
-            assert all(isinstance(r, PoolResult) for r in results)
-            assert pool.stats.runs_started == len(docs)
-        # Completion counters are exact once close() has drained the
-        # executor (done-callbacks may lag future.result() before that).
-        assert pool.stats.runs_completed == len(docs)
-
-    def test_process_pool_requires_query_text(self):
-        from repro.analysis.compile import compile_query
-
-        compiled = compile_query(Q1)
-        with pytest.raises(ValueError, match="query as text"):
-            SessionPool(compiled, executor="process")
-
-    def test_process_pool_has_no_streaming(self):
-        with SessionPool(Q1, executor="process") as pool:
-            with pytest.raises(RuntimeError, match="not available"):
-                pool.run_streaming("<site/>")
-
-    def test_process_pool_counts_failed_runs(self):
-        with SessionPool(Q1, max_workers=2, executor="process") as pool:
-            good = pool.submit("<site><people/></site>")
-            bad = pool.submit("<site><broken>")
-            assert good.result().output
-            with pytest.raises(Exception):
-                bad.result()
-            assert pool.stats.runs_started == 2  # exact at submit
-        stats = pool.stats  # completion counters exact after close()
-        assert stats.runs_completed == 1
-        assert stats.runs_abandoned == 1
-
-    def test_process_pool_summary_reports_aggregate_as_na(self):
-        with SessionPool(Q1, max_workers=2, executor="process") as pool:
-            list(pool.map(["<site><people/></site>"]))
-            summary = pool.stats.summary()
-        assert "n/a (process workers)" in summary
-        assert "0 nodes" not in summary
 
 
 class TestLifecycle:
@@ -463,8 +436,6 @@ class TestLifecycle:
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="max_workers"):
             SessionPool(Q1, max_workers=0)
-        with pytest.raises(ValueError, match="executor"):
-            SessionPool(Q1, executor="fibers")
 
     def test_pool_adopts_precompiled_query(self):
         from repro.analysis.compile import compile_query
@@ -517,6 +488,28 @@ class TestLifecycle:
             stats = pool.stats
         # Never more buffers than could be live at once.
         assert stats.buffers_created <= STRESS_WORKERS + 1
+
+    def test_idle_list_is_capped_at_max_workers(self):
+        """More interleaved runs than workers each need a buffer, but only
+        ``max_workers`` of them are parked for reuse once they finish."""
+        workers, extra = 2, 3
+        doc = serving_documents(1)[0]
+
+        def interleaved_wave(pool: SessionPool) -> None:
+            streams = [pool.run_streaming(doc) for _ in range(workers + extra)]
+            for stream in streams:
+                for _ in stream:
+                    pass
+
+        with SessionPool(Q1, max_workers=workers) as pool:
+            interleaved_wave(pool)
+            assert pool.stats.buffers_created == workers + extra
+            assert len(pool._idle_buffers) == workers
+            # The second wave recycles the parked buffers and allocates
+            # only the ones that were dropped.
+            interleaved_wave(pool)
+            assert pool.stats.buffers_created == workers + 2 * extra
+            assert len(pool._idle_buffers) == workers
 
 
 class TestDrainHooks:

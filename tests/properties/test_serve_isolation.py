@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.engine import QuerySession
 
-from repro.serve.testing import ServerFixture
+from tests.serve.harness import ServerFixture
 
 SLOW_IO = settings(
     max_examples=20,

@@ -10,8 +10,8 @@ deadlock detector.  :class:`FaultyTransport` injects the faults the
 server must survive: hard disconnects (RST, not FIN), slow-loris writes,
 and truncated frames.
 
-The harness is shipped inside the package (not the test tree) because
-the serving bench builds on the same fixture.
+Only the test suites use it, so it lives with them; import it as
+``tests.serve.harness`` from the repository root.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.serve.testing import ServerFixture
+from tests.serve.harness import ServerFixture
 
 QUERY = "<out>{ for $x in /a/b return <hit>{ $x/c }</hit> }</out>"
 

@@ -2,7 +2,7 @@
 
 Every ``result`` frame carries an ``at`` field — the input tokens the
 run had consumed when the fragment was emitted (the emission-order
-oracle; see :meth:`repro.serve.testing.ScriptClient.collect_pass`).  For
+oracle; see :meth:`tests.serve.harness.ScriptClient.collect_pass`).  For
 a standing query with a streamable output site, the first frame's offset
 must be strictly below the pass's final ``tokens_read``: output left the
 server while the document was still arriving.
@@ -10,7 +10,7 @@ server while the document was still arriving.
 
 from __future__ import annotations
 
-from repro.serve.testing import ServerFixture
+from tests.serve.harness import ServerFixture
 
 #: A streamable query (open watermark on the bare ``$x`` output site).
 QUERY = "<out>{ for $x in /r/a return $x }</out>"

@@ -20,7 +20,7 @@ import pytest
 
 from repro.engine.pool import SessionPool
 from repro.serve.server import INLINE_PASS_BYTES, _EvalBridge, _pass_frames
-from repro.serve.testing import ServerFixture
+from tests.serve.harness import ServerFixture
 from repro.xmlio.lexer import XMLSyntaxError, tokenize
 
 from tests.serve.test_faults import (

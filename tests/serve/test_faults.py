@@ -26,7 +26,7 @@ import time
 import pytest
 
 from repro.serve.server import INLINE_PASS_BYTES
-from repro.serve.testing import ServerFixture
+from tests.serve.harness import ServerFixture
 
 QUERY = "<out>{ for $x in /a/b return <hit>{ $x/c }</hit> }</out>"
 

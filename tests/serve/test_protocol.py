@@ -30,12 +30,27 @@ from repro.xmark.generator import generate_xmark, xmark_scale_for_bytes
 from repro.xmark.queries import XMARK_QUERIES
 
 from repro.serve.server import INLINE_PASS_BYTES
-from repro.serve.testing import ServerFixture
+from tests.serve.harness import ServerFixture
 
 from tests.serve.test_faults import wait_until
 
 GOLDENS = Path(__file__).parent.parent / "engine" / "goldens"
 QUERY_NAMES = sorted(XMARK_QUERIES)
+
+
+def booked_passes(fixture, route: str) -> int:
+    """Passes the server has booked on ``route`` so far."""
+    stats = fixture.server.stats
+    return stats.passes_inline if route == "inline" else stats.passes_threaded
+
+
+def assert_booked(fixture, route: str, count: int) -> None:
+    """``count`` passes were booked on ``route`` (polled: the done frame
+    leaves a moment before the pass is booked).  Every test that runs
+    passes on the shared server ends here, so the next test's ``before``
+    count never races an earlier test's unbooked pass."""
+    wait_until(lambda: booked_passes(fixture, route) >= count, timeout=5.0)
+    assert booked_passes(fixture, route) == count
 
 
 class Corpus:
@@ -63,14 +78,11 @@ class Corpus:
 
     def passes(self, fixture) -> int:
         """Passes the server has booked on this corpus's route so far."""
-        stats = fixture.server.stats
-        return stats.passes_inline if self.route == "inline" else stats.passes_threaded
+        return booked_passes(fixture, self.route)
 
     def assert_passes(self, fixture, count: int) -> None:
-        """``count`` passes took this corpus's route (polled: the done
-        frame leaves a moment before the pass is booked)."""
-        wait_until(lambda: self.passes(fixture) >= count, timeout=5.0)
-        assert self.passes(fixture) == count
+        """``count`` passes took this corpus's route."""
+        assert_booked(fixture, self.route, count)
 
 
 @pytest.fixture(scope="module", params=["inline", "threaded"])
@@ -102,6 +114,7 @@ class TestGoldenReplay:
         corpus.assert_passes(fixture, before + 1)  # took the intended route
 
     def test_result_frames_are_sequenced_per_pass(self, fixture, corpus):
+        before = corpus.passes(fixture)
         with fixture.client(timeout=60.0) as client:
             client.register("q", XMARK_QUERIES["Q1"].adapted)
             for _pass in range(2):  # sequence restarts at 1 every pass
@@ -119,6 +132,7 @@ class TestGoldenReplay:
                     seqs.append(frame["seq"])
                 assert seqs == list(range(1, len(seqs) + 1))
         fixture.assert_clean()
+        corpus.assert_passes(fixture, before + 2)
 
     def test_chunked_upload_matches_inline_eval(self, fixture, corpus):
         """A chunked upload takes the route its *total* size says."""
@@ -147,6 +161,7 @@ class TestInterleavedClients:
         robin over the corpus, two passes each, all byte-identical."""
         document, expected = corpus.document, corpus.expected.__getitem__
         clients = 16
+        before = corpus.passes(fixture)
         failures: list[str] = []
         barrier = threading.Barrier(clients)
 
@@ -187,6 +202,7 @@ class TestInterleavedClients:
         assert not failures, failures
         fixture.assert_clean()
         assert fixture.server.stats.connections_peak >= clients
+        corpus.assert_passes(fixture, before + 2 * clients)
 
 
 class TestSessionOps:
@@ -228,6 +244,7 @@ class TestSessionOps:
             assert client.recv_frame() is None
 
     def test_ops_inside_an_upload_are_rejected(self, fixture):
+        before = booked_passes(fixture, "inline")
         with fixture.client() as client:
             client.register("q", "<out>{ for $x in /a/b return $x }</out>")
             client.send_frame({"op": "begin", "id": "q"})
@@ -239,6 +256,7 @@ class TestSessionOps:
             _fragments, final = client.eval_collect("q", "<a><b>x</b></a>")
             assert final["type"] == "done"
         fixture.assert_clean()
+        assert_booked(fixture, "inline", before + 1)  # only the final eval
 
 
 class TestServeEntryPoints:
@@ -246,7 +264,7 @@ class TestServeEntryPoints:
         """``run_server`` blocks until the stop event; on_ready hands the
         test the live server and the handle to trigger the drain."""
         from repro.serve import run_server
-        from repro.serve.testing import ScriptClient
+        from tests.serve.harness import ScriptClient
 
         ready = threading.Event()
         handles: dict[str, object] = {}
@@ -278,7 +296,7 @@ class TestServeEntryPoints:
         """The CLI end to end: spawn ``gcx serve``, evaluate one document
         over the wire, SIGTERM it, and expect a clean exit status."""
         import repro
-        from repro.serve.testing import ScriptClient
+        from tests.serve.harness import ScriptClient
 
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(repro.__file__).parent.parent)

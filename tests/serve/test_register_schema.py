@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.serve.testing import ServerFixture
+from tests.serve.harness import ServerFixture
 from repro.xmark.queries import XMARK_QUERIES
 from repro.xmark.schema import xmark_schema
 

@@ -287,6 +287,96 @@ class TestRunMulti:
         assert "duplicate" in capsys.readouterr().err
 
 
+class TestDocumentErrors:
+    """A malformed or missing document ends in one ``ERROR:`` line and
+    exit status 1, not a traceback."""
+
+    @pytest.fixture
+    def bad(self, tmp_path):
+        bad = tmp_path / "bad.xml"
+        bad.write_text("<bib>\n<book><title>T</titl></book></bib>")
+        return bad
+
+    @staticmethod
+    def argv(command, query, doc):
+        if command == "run-multi":
+            return ["run-multi", str(query), "-d", str(doc)]
+        return [command, str(query), str(doc)]
+
+    @pytest.mark.parametrize("command", ["run", "run-multi", "serve-batch"])
+    def test_malformed_document(self, command, files, bad, capsys):
+        query, _doc = files
+        assert main(self.argv(command, query, bad)) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"ERROR: {bad}: line 2, column 15: mismatched closing tag "
+            "</titl>, expected </title> (at offset 20)\n"
+        )
+
+    @pytest.mark.parametrize("command", ["run", "run-multi", "serve-batch"])
+    def test_missing_document(self, command, files, tmp_path, capsys):
+        query, _doc = files
+        missing = tmp_path / "missing.xml"
+        assert main(self.argv(command, query, missing)) == 1
+        err = capsys.readouterr().err
+        assert err == f"ERROR: {missing}: No such file or directory\n"
+
+    @pytest.mark.parametrize("command", ["run", "run-multi", "serve-batch"])
+    def test_tag_name_not_utf8(self, command, files, tmp_path, capsys):
+        query, _doc = files
+        bad = tmp_path / "bad.xml"
+        bad.write_bytes(b"<bib><book><title>T</title><\xff/></book></bib>")
+        assert main(self.argv(command, query, bad)) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"ERROR: {bad}: line 1, column 28: tag name is not UTF-8 "
+            "(at offset 27)\n"
+        )
+
+    @pytest.mark.parametrize("command", ["run", "run-multi", "serve-batch"])
+    def test_output_text_not_utf8(self, command, files, tmp_path, capsys):
+        query, _doc = files
+        bad = tmp_path / "bad.xml"
+        bad.write_bytes(b"<bib><book><title>\xff</title></book></bib>")
+        assert main(self.argv(command, query, bad)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR: {bad}: 'utf-8' codec can't decode byte 0xff")
+        assert "Traceback" not in err
+
+    def test_buffered_run_of_a_document_not_utf8(self, files, tmp_path, capsys):
+        query, _doc = files
+        bad = tmp_path / "bad.xml"
+        bad.write_bytes(b"<bib><book><title>T</title><\xff/></book></bib>")
+        assert main(["run", "--buffered", str(query), str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR: {bad}: 'utf-8' codec can't decode byte 0xff")
+
+    @pytest.mark.parametrize("command", ["run", "run-multi", "serve-batch"])
+    def test_path_below_a_file(self, command, files, capsys):
+        query, doc = files
+        below = doc / "x.xml"
+        assert main(self.argv(command, query, below)) == 1
+        assert capsys.readouterr().err == f"ERROR: {below}: Not a directory\n"
+
+    def test_buffered_run_reports_the_document(self, files, bad, capsys):
+        query, _doc = files
+        assert main(["run", "--buffered", str(query), str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"ERROR: {bad}: line 2,")
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_serve_batch_names_the_document_inside_a_chunk(
+        self, position, files, bad, capsys
+    ):
+        query, doc = files
+        documents = [str(doc)] * 3
+        documents[position] = str(bad)
+        argv = ["serve-batch", str(query), *documents, "--chunksize", "3"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"ERROR: {bad}: line 2,")
+
+
 BIB_DTD = """
 <!ELEMENT bib (book*)>
 <!ELEMENT book (title, author*, price?)>

@@ -52,10 +52,8 @@ ADVERSARIAL_DOCUMENTS = [
 ]
 
 FLAG_COMBINATIONS = [
-    {"strip_whitespace": True, "convert_attributes": True},
-    {"strip_whitespace": False, "convert_attributes": True},
-    {"strip_whitespace": True, "convert_attributes": False},
-    {"strip_whitespace": False, "convert_attributes": False},
+    {"strip_whitespace": True},
+    {"strip_whitespace": False},
 ]
 
 
@@ -64,7 +62,8 @@ class TestAdversarialDifferential:
     @pytest.mark.parametrize(
         "flags",
         FLAG_COMBINATIONS,
-        ids=lambda f: f"strip={f['strip_whitespace']},attrs={f['convert_attributes']}",
+        # Attributes are always converted; "attrs=True" keeps ids stable.
+        ids=lambda f: f"strip={f['strip_whitespace']},attrs=True",
     )
     def test_identical_streams(self, document, flags):
         assert list(tokenize(document, **flags)) == list(
@@ -76,6 +75,17 @@ class TestAdversarialDifferential:
     def test_chunked_identical_streams(self, document, chunk_size):
         chunked = list(FileTokenizer(io.StringIO(document), chunk_size=chunk_size))
         assert chunked == list(reference_tokenize(document))
+
+    @pytest.mark.parametrize("document", ADVERSARIAL_DOCUMENTS)
+    @pytest.mark.parametrize("chunk_size", [16, 17, 23, 64, 1024])
+    def test_chunked_identical_streams_unstripped(self, document, chunk_size):
+        # Whitespace-only text kept, cut anywhere by a chunk boundary.
+        chunked = FileTokenizer(
+            io.StringIO(document), chunk_size=chunk_size, strip_whitespace=False
+        )
+        assert list(chunked) == list(
+            reference_tokenize(document, strip_whitespace=False)
+        )
 
     def test_cdata_split_at_every_chunk_boundary(self):
         """The CDATA prefix/terminator must survive any chunk split."""
@@ -95,7 +105,7 @@ class TestXMarkDifferential:
         )
 
     def test_xmark_corpus_identical_unstripped(self, xmark_doc_small):
-        flags = {"strip_whitespace": False, "convert_attributes": False}
+        flags = {"strip_whitespace": False}
         assert list(tokenize(xmark_doc_small, **flags)) == list(
             reference_tokenize(xmark_doc_small, **flags)
         )

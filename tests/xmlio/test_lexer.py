@@ -1,8 +1,11 @@
 """Tests for the streaming XML tokenizer."""
 
+import io
+
 import pytest
 
 from repro.xmlio import EndTag, StartTag, Text, XMLSyntaxError, tokenize
+from repro.xmlio.filelexer import FileTokenizer
 
 
 def toks(text, **kwargs):
@@ -87,10 +90,6 @@ class TestAttributeConversion:
         tokens = toks('<e a="x &amp; y"/>')
         assert Text("x & y") in tokens
 
-    def test_conversion_can_be_disabled(self):
-        tokens = toks('<e a="1"/>', convert_attributes=False)
-        assert tokens == [StartTag("e"), EndTag("e")]
-
     def test_single_quoted_attribute(self):
         tokens = toks("<e a='v'/>")
         assert Text("v") in tokens
@@ -140,6 +139,26 @@ class TestWellFormednessErrors:
     def test_text_outside_root_rejected(self):
         with pytest.raises(XMLSyntaxError):
             toks("<a/>trailing")
+
+    @pytest.mark.parametrize("chunk_size", [None, 4])
+    @pytest.mark.parametrize(
+        "tag", [b"< \xff/>", b"<\xff>", b'<b \xff="1"/>', b"</\xff>"]
+    )
+    def test_tag_name_not_utf8_fails_after_earlier_tokens(self, tag, chunk_size):
+        """A tag or attribute name that is not UTF-8 is a syntax error at
+        its tag, whatever the batch size: every token before it is
+        delivered first."""
+        document = b"<r><a>x</a>" + tag + b"</r>"
+        if chunk_size is None:
+            lexer = tokenize(document)
+        else:
+            lexer = FileTokenizer(io.BytesIO(document), chunk_size=chunk_size)
+        seen = []
+        with pytest.raises(XMLSyntaxError, match="tag name is not UTF-8") as error:
+            for token in lexer:
+                seen.append(token)
+        assert seen == [StartTag("r"), StartTag("a"), Text("x"), EndTag("a")]
+        assert (error.value.position, error.value.column) == (11, 12)
 
 
 class TestStreamingBehaviour:
