@@ -127,20 +127,23 @@ def _make_emitter(plan: ZeroBufferPlan):
 
 
 class _PendingMatch:
-    """A nested chain match captured on the structural fallback path.
+    """A nested chain match captured on the structural fallback path: the
+    slice ``[start, end)`` of the capture log that all pending matches
+    share (``end`` is ``None`` while the match is still open).
 
-    ``entries`` records, per captured token, the modelled cost charged for
-    it (zero for close tags) so the flush can refund exactly what the
-    capture charged, and the ``tokens_read`` count at capture time so the
-    flush can account how long the token was held before emission
-    (``BufferStats.tokens_held_before_emit``).
+    The log records each captured token once, with the modelled cost
+    charged for it (zero for close tags) so the flush can refund exactly
+    what the capture charged, and the ``tokens_read`` count at capture
+    time so the flush can account how long the token was held before
+    emission (``BufferStats.tokens_held_before_emit``).
     """
 
-    __slots__ = ("depth", "entries")
+    __slots__ = ("depth", "start", "end")
 
-    def __init__(self, depth: int) -> None:
+    def __init__(self, depth: int, start: int) -> None:
         self.depth = depth
-        self.entries: list[tuple[Token, int, int]] = []  # (token, cost, born)
+        self.start = start
+        self.end: int | None = None
 
 
 class _ChainState:
@@ -314,6 +317,9 @@ class DirectEvaluator:
         emitter = None
         pending: list[_PendingMatch] = []  # capture order = document order
         open_pending: list[_PendingMatch] = []
+        # One capture log shared by every pending match, so a token inside
+        # k nested matches is held (and charged) once, not k times.
+        log: list[tuple[Token, int, int]] = []  # (token, cost, born)
 
         for token in self._tokens:
             if isinstance(token, StartTag):
@@ -336,12 +342,12 @@ class DirectEvaluator:
                     # Nested match: the certificate said this cannot happen
                     # on conforming input — capture it for replay.
                     stats.schema_fallbacks += 1
-                    match = _PendingMatch(len(state_stack))
+                    match = _PendingMatch(len(state_stack), len(log))
                     pending.append(match)
                     open_pending.append(match)
-                cost = self._cost.element_cost()
-                for match in open_pending:
-                    match.entries.append((token, cost, stats.tokens_read))
+                if open_pending:
+                    cost = self._cost.element_cost()
+                    log.append((token, cost, stats.tokens_read))
                     stats.on_create(cost)
                 yield from emitter.feed(token)
             elif isinstance(token, EndTag):
@@ -350,10 +356,10 @@ class DirectEvaluator:
                 state_stack.pop()
                 if head_depth is None:
                     continue
-                for match in open_pending:
-                    match.entries.append((token, 0, stats.tokens_read))
-                if open_pending and open_pending[-1].depth == depth:
-                    open_pending.pop()
+                if open_pending:
+                    log.append((token, 0, stats.tokens_read))
+                    if open_pending[-1].depth == depth:
+                        open_pending.pop().end = len(log)
                 yield from emitter.feed(token)
                 if depth == head_depth:
                     # The streaming match closed: replay captured nested
@@ -365,15 +371,17 @@ class DirectEvaluator:
                     for match in pending:
                         replay = _make_emitter(plan)
                         yield from wrapper_open
-                        for captured, cost, born in match.entries:
+                        for captured, _cost, born in log[match.start : match.end]:
                             stats.tokens_held_before_emit += (
                                 stats.tokens_read - born
                             )
                             yield from replay.feed(captured)
-                            if cost:
-                                stats.on_purge(cost)
                         yield from wrapper_close
+                    for _token, cost, _born in log:
+                        if cost:
+                            stats.on_purge(cost)
                     pending.clear()
+                    log.clear()
             elif isinstance(token, Span):
                 # A whole match the scanner copied (COPY rows are consulted
                 # only outside matches): the body output, verbatim.
@@ -393,9 +401,9 @@ class DirectEvaluator:
                 if head_depth is None:
                     stats.nodes_dropped += 1
                     continue
-                cost = self._cost.text_cost(token.content)
-                for match in open_pending:
-                    match.entries.append((token, cost, stats.tokens_read))
+                if open_pending:
+                    cost = self._cost.text_cost(token.content)
+                    log.append((token, cost, stats.tokens_read))
                     stats.on_create(cost)
                 yield from emitter.feed(token)
 

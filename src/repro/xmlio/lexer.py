@@ -6,43 +6,50 @@ never materialize the whole document.  It is deliberately written from
 scratch (no ``xml.sax``) so the repository is self-contained and the token
 boundaries match the paper's stream model exactly.
 
-Bytes-domain hot path (see docs/PERFORMANCE.md)
------------------------------------------------
-The scanner operates on **bytes end to end** — ``str`` input is encoded
-once up front, file input is mmap-mapped (:mod:`repro.xmlio.filelexer`) —
-and decoding is deferred to the consumers that actually need characters:
+One reader, three emitters (see docs/PERFORMANCE.md)
+----------------------------------------------------
+Every well-formedness rule is written once, in the *reader*, which turns
+the construct at a byte offset into a row ``(kind, end, name, attributes,
+text)``:
 
-* *``bytes.find`` jumps* — character data, tag bodies and skipped
-  constructs are located by C-speed substring search over the raw buffer
-  (an ``mmap`` works directly: it supports ``find`` and slicing), never by
-  per-character stepping.  Every markup delimiter is ASCII, so a multi-byte
-  UTF-8 sequence can never be split by a token boundary.
-* *byte-interned tags* — ``StartTag``/``EndTag`` tokens are cached keyed by
-  the **undecoded** tag slice; a tag name is UTF-8-decoded (and
-  ``sys.intern``-ed, so the matcher's ``(state, tag)`` table keys share one
-  cached hash) exactly once per distinct spelling per document.
-* *decode-on-demand text* — character data is emitted as
-  :class:`~repro.xmlio.tokens.LazyText` carrying the raw byte span; UTF-8
-  decode and entity unescape run only when ``.content`` is first read,
-  i.e. only for nodes that survive projection.  Skipped subtrees never pay
-  ``str`` conversion at all (``text_decode_count`` proves it).
-* *batch scanning* — as before the rewrite, the scanner fills token
-  batches that ``next_token`` serves by index; a batch now stops after a
-  byte budget (:data:`BATCH_BYTES`, or the chunk size in file mode, so the
-  file-backed subclass can compact its window between batches) instead of
-  a token count, which removes a length check from the per-token loop.
-* *guided scan* — with a scan ``guide`` (the projection matcher's lazy
-  DFA, see "Scan-time projection" in docs/PERFORMANCE.md) the scanner
-  looks every start tag up in the guide's row for the enclosing element;
-  a subtree the row calls DEAD is validated exactly as before — closer
-  stack, attribute syntax, unterminated constructs, EOF checks — but no
-  token is allocated, no text sliced and no tag interned for it, and the
-  subtree is delivered as one :class:`~repro.xmlio.tokens.Skipped` count.
-  A subtree the row calls :data:`COPY` (the schema-certified runner's
-  ``{$x}`` matches) is validated the same way and delivered as one
-  :class:`~repro.xmlio.tokens.Span` of its canonical output text — or
-  LIVE, when it cannot be copied.  Without a guide the tokenizer is the
-  same scanner with nothing to skip.
+* *the kernel* — one compiled pattern, :data:`_KERNEL`, matches a plain
+  construct in C: a bare leaf ``<n>text</n>``, a start tag whose quoted
+  attribute values hold no ``&``, ``<``, ``>`` or quote, a bare end tag, or
+  a text run with no ``&`` or ``>`` that a ``<`` follows.  Names are ASCII.
+* *the careful reader* (:meth:`XMLTokenizer._careful`) — everything else:
+  comments, PIs, DOCTYPE and CDATA, escaped text, whitespace inside tags,
+  attributes that need it, non-ASCII names (which it checks are UTF-8),
+  anything that reaches the end of the window (it refills, so in file mode
+  a construct is never read from half a chunk), every construct at the top
+  level and the end of input.  It is the only code that raises
+  :class:`XMLSyntaxError`, so an error has one message, offset, line and
+  column whichever mode met it.
+
+Three emitters turn rows into what the consumer receives, and neither the
+kernel nor the careful reader knows which one asked:
+
+* *LIVE* (:meth:`XMLTokenizer._fill`) builds tokens.  Start tags are looked
+  up in a *row* keyed by the **undecoded** name: a tag name is decoded (and
+  ``sys.intern``-ed, so the matcher's ``(state, tag)`` keys share one
+  cached hash) once per distinct spelling.  Character data is emitted as
+  :class:`~repro.xmlio.tokens.LazyText` carrying the raw byte span: UTF-8
+  decode and entity unescape run only when ``.content`` is first read.
+* *DEAD* — with a scan ``guide`` (the projection matcher's lazy DFA, see
+  "Scan-time projection" in docs/PERFORMANCE.md) a subtree the guide's row
+  calls :data:`DEAD` is read like any other input, but no token is
+  allocated, no text decoded and no tag interned: it leaves as one
+  :class:`~repro.xmlio.tokens.Skipped` count.
+* *COPY* — a subtree the row calls :data:`COPY` (the schema-certified
+  runner's ``{$x}`` matches) leaves as one
+  :class:`~repro.xmlio.tokens.Span` of its canonical output text, or LIVE
+  when it cannot be copied.
+
+The scanner fills token batches that ``next_token`` serves by index; a
+batch stops after a byte budget (:data:`BATCH_BYTES`, or the chunk size in
+file mode, so the file-backed subclass can compact its window between
+batches).  ``str`` input is encoded once up front and file input is
+mmap-mapped (:mod:`repro.xmlio.filelexer`); every markup delimiter is
+ASCII, so a multi-byte UTF-8 sequence is never split by a token boundary.
 
 Positions (``XMLSyntaxError.position``) are document-absolute **byte**
 offsets; ``.line``/``.column`` are computed lazily from the offending
@@ -58,6 +65,8 @@ Supported XML subset
 * character data with the predefined entities,
 * attributes, which are converted to leading subelements (the adaptation the
   paper applies to XMark: "we converted XML attributes into subelements"),
+  so an attribute name must read back as a tag name: not empty, no
+  whitespace, not starting with ``/``, ``!`` or ``?``, not ending with ``/``,
 * comments, processing instructions, XML declarations and DOCTYPE clauses,
   which are skipped,
 * CDATA sections, which become text.
@@ -105,8 +114,6 @@ BATCH_BYTES = 1 << 16
 
 _LT = 0x3C  # ``<``
 _SLASH = 0x2F  # ``/``
-_BANG = 0x21  # ``!``
-_QMARK = 0x3F  # ``?``
 
 #: UTF-8 encodings of every code point ``str.strip()`` treats as
 #: whitespace.  ``bytes.isspace()`` only knows the ASCII six; this pattern
@@ -121,20 +128,35 @@ _UNICODE_WS = re.compile(
     rb"|\xe3\x80\x80)+\Z"
 ).match
 
+_NAME = rb"[A-Za-z_:][-.\w:]*"  # ASCII: ``\w`` in a bytes pattern
+_S = rb"[ \t\r\n]"
+_VALUE = rb"(?:\"[^\"'&<>]*\"|'[^\"'&<>]*')"
+_ATTRIBUTE = _S + rb"+" + _NAME + _S + rb"*=" + _S + rb"*" + _VALUE
+_LEAF_FORM = rb"<(" + _NAME + rb")>([^<&>]*)</\1>"
+_END_FORM = rb"</(" + _NAME + rb">)"
+_START_FORM = rb"<(" + _NAME + rb")((?:" + _ATTRIBUTE + rb")*)" + _S + rb"*(/?)>"
 
-#: One C-level scan for ASCII whitespace inside a tag body.  (``b" " in
-#: body`` looks cheaper but is ~6x slower than the str equivalent on
-#: CPython, which is exactly the kind of regression a bytes rewrite
-#: invites; a single compiled-pattern search beats four of them.)
+#: The kernel: one plain construct at a position, matched in C.  Groups
+#: 1-2 are a leaf's name and text, 3 an end tag's ``name>``, 4-6 a start
+#: tag's name, attributes and ``/``; a text run matches no group (and
+#: must see the ``<`` after it, so it never stops at a window's end).
+_KERNEL = re.compile(
+    b"|".join((_LEAF_FORM, _END_FORM, _START_FORM, rb"[^<&>]+(?=<)"))
+).match
+#: The ``(name, value)`` pairs in the attributes the kernel matched.
+_ATTRIBUTES = re.compile(
+    b"(" + _NAME + b")" + _S + b"*=" + _S + rb"*[\"']([^\"']*)"
+).findall
+
+#: An attribute name that, written as a tag, would not read back as a
+#: start tag of that name: empty, ``</x>`` is an end tag, ``<!x>`` and
+#: ``<?x>`` are markup, ``<x/>`` closes itself, and whitespace ends a name.
+_NOT_A_NAME = re.compile(rb"\A(?:[/!?]|\Z)|[ \t\r\n]|/\Z").search
 _WS_SEARCH = re.compile(rb"[ \t\r\n]").search
-#: The same scan, also stopping at a non-ASCII byte: a dead start tag whose
-#: body matches has attributes or a name whose UTF-8 must be checked.
-_WS_OR_HIGH_SEARCH = re.compile(rb"[ \t\r\n\x80-\xff]").search
 
-#: An attribute name that, written as a tag, does not read back as a start
-#: tag of that name: ``</x>`` is an end tag, ``<!x>`` and ``<?x>`` are
-#: markup, ``<x/>`` closes itself, and whitespace ends the name.
-_NO_TAG_FORM = re.compile(rb"\A[/!?]|/\Z|[ \t\r\n]").search
+#: Row kinds (field 0 of what :meth:`XMLTokenizer._read` returns).  A
+#: LEAF is an element with no children: ``<n/>``, or ``<n>text</n>``.
+_TEXT, _CDATA, _SKIP, _END, _START, _LEAF, _EOF = range(7)
 
 
 #: Slot-descriptor store for ``LazyText._raw``: the hot loop builds text
@@ -152,11 +174,9 @@ DEAD = object()
 #: canonical text, or — when it cannot — the element LIVE.
 COPY = object()
 
-#: Character data the serializer would not write back byte for byte: an
-#: entity reference (``&``) or a ``>`` it escapes.
-_NEEDS_ESCAPE = re.compile(rb"[&>]").search
-#: The same for attribute values, which may also hold a raw ``<``.
-_VALUE_NEEDS_ESCAPE = re.compile(rb"[&<>]").search
+#: Character data or an attribute value the serializer would not write
+#: back byte for byte: an entity reference, or a ``<``/``>`` it escapes.
+_NEEDS_ESCAPE = re.compile(rb"[&<>]").search
 
 
 def scan_entry(
@@ -170,11 +190,8 @@ def scan_entry(
     A *row* maps the undecoded tag name to what the scanner needs when it
     meets that tag in a given context, as one flat tuple:
 
-    0. ``b"name>"`` and 1. its length — the *closer*: the end-tag fast path
-       compares upcoming bytes against it, so one ``bytes.__eq__`` both
-       resolves the token and proves the match.  A guide's LIVE entry has
-       no closer: its end tag takes the slow path, which is where the
-       scanner goes back to consulting rows;
+    0. ``b"name>"`` and 1. its length — the *closer*: an end tag must read
+       ``</`` and then exactly these bytes;
     2. the shared :class:`EndTag`, 3. the tag and 4. the shared
        :class:`StartTag`;
     5. the row the element's children are looked up in — ``None`` means
@@ -191,9 +208,8 @@ def scan_entry(
     or :data:`DEAD` in place of an entry.
     """
     tag = intern(name_key.decode("utf-8"))
-    live = (child_row is None or child_row is COPY) and parent_row is not None
     return (
-        None if live else name_key + b">",
+        name_key + b">",
         len(name_key) + 1,
         EndTag(tag),
         tag,
@@ -214,9 +230,29 @@ def _decode_name(name: bytes, position: int) -> str:
         raise XMLSyntaxError("tag name is not UTF-8", position) from None
 
 
-def _recanonical(raw: bytes) -> bytes:
+def _canonical_text(raw: bytes) -> bytes:
     """Character data as the serializer writes it: unescaped, re-escaped."""
+    if _NEEDS_ESCAPE(raw) is None:
+        return raw
     return escape_text(unescape_text(raw.decode("utf-8"))).encode("utf-8")
+
+
+def _canonical_tag(name: bytes, attributes, text: "bytes | None") -> bytes:
+    """A start tag (``text`` is ``None``) or a whole leaf as the serializer
+    writes it: attributes as leading subelements, text re-escaped, and a
+    leaf with neither as ``<name/>``."""
+    if text == b"" and not attributes:
+        return b"<" + name + b"/>"
+    chunks = [b"<", name, b">"]
+    for attr_name, value in attributes:
+        if value:
+            value = _canonical_text(value)
+            chunks += (b"<", attr_name, b">", value, b"</", attr_name, b">")
+        else:
+            chunks += (b"<", attr_name, b"/>")
+    if text is not None:
+        chunks += (_canonical_text(text), b"</", name, b">")
+    return b"".join(chunks)
 
 
 def _ws_only(raw: bytes) -> bool:
@@ -346,12 +382,11 @@ class XMLTokenizer:
         self._strip_whitespace = strip_whitespace
         # Innermost-first stack of the open elements: the row entry (see
         # :func:`scan_entry`) of each delivered element and, above them
-        # while a dead subtree is being validated, the bare ``b"</name>"``
+        # while a dead subtree is being validated, the bare ``b"name>"``
         # closer of each dead one (``_dead_depth`` of them).
         self._open_tags: list = []
         self._dead_depth = 0
         self._seen_root = False
-        self._done = False
         # Batch machinery: tokens are scanned a batch at a time into
         # ``_out`` and served by index.  ``_batch_bytes`` caps how far one
         # batch may advance (the file subclass sets it to the chunk size so
@@ -360,14 +395,10 @@ class XMLTokenizer:
         self._out_pos = 0
         self._batch_bytes = BATCH_BYTES
         self._error: XMLSyntaxError | None = None
-        # Interning tables keyed by the *undecoded* tag slice: one token
-        # object — and one UTF-8 decode — per distinct tag spelling.
-        # ``_start_tags`` is the tokenizer's own row (nothing to skip);
-        # ``_end_tags`` caches the slow end-tag path (whitespace spellings).
+        # The tokenizer's own row (nothing to skip), keyed by the
+        # *undecoded* tag name: one token object — and one UTF-8 decode —
+        # per distinct tag spelling.
         self._start_tags: dict[bytes, tuple] = {}
-        self._end_tags: dict[bytes, EndTag] = {}
-        # ``b"</name>"`` per bare tag name met inside copied subtrees.
-        self._copy_closers: dict[bytes, bytes] = {}
         # The row start tags are looked up in right now: a guide row while
         # the guide tracks the open element, else the tokenizer's own.
         self._guide = guide
@@ -404,7 +435,6 @@ class XMLTokenizer:
             if not self._fill():
                 if self._error is not None:
                     raise self._error
-                self._finish_checks()
                 return
             self._out_pos = len(self._out)
             yield from self._out
@@ -432,18 +462,212 @@ class XMLTokenizer:
             if not self._fill():
                 if self._error is not None:
                     raise self._error
-                self._finish_checks()
                 return None
             if self._out:
                 self._out_pos = 1
                 return self._out[0]
 
     # ------------------------------------------------------------------
-    # scanning machinery
+    # the reader: the kernel, and the careful path behind it
+    # ------------------------------------------------------------------
+
+    def _read(self, pos: int, expected: "bytes | None") -> tuple:
+        """The construct at ``pos`` as a row ``(kind, end, name,
+        attributes, text)``: ``end`` is where it stops, ``name`` a start
+        tag's or leaf's undecoded name (an end tag's ``b"name>"``),
+        ``attributes`` its ``(name, value)`` byte pairs, and ``text`` a
+        leaf's, text run's or CDATA section's raw bytes.
+
+        ``expected`` is the ``b"name>"`` closer of the innermost open
+        element, ``None`` at the top level.  The kernel reads a plain
+        construct; the careful reader everything else, every top-level
+        construct included (that is where the document-level rules live).
+        """
+        match = _KERNEL(self._data, pos)
+        if match is None or expected is None:
+            return self._careful(pos, expected)
+        kind = match.lastindex
+        if kind == 2:
+            return _LEAF, match.end(), match[1], (), match[2]
+        if kind == 3:
+            if match[3] != expected:
+                return self._careful(pos, expected)
+            return _END, match.end(), expected, (), None
+        if kind is None:
+            return _TEXT, match.end(), None, (), match[0]
+        attributes = match[5]
+        return (
+            _LEAF if match[6] else _START,
+            match.end(),
+            match[4],
+            _ATTRIBUTES(attributes) if attributes else (),
+            b"",
+        )
+
+    def _careful(self, pos: int, expected: "bytes | None") -> tuple:
+        """:meth:`_read` for a construct the kernel does not take: every
+        check, refilling as needed.  This is the one place a document is
+        found malformed.  At the end of input the row is ``_EOF``, or an
+        error when an element is still open or none was seen."""
+        position = pos + self._offset
+        if not self._have(pos + 1):
+            if expected is not None:
+                name = expected[:-1].decode("utf-8")
+                raise XMLSyntaxError(
+                    f"input exhausted with unclosed element <{name}>", position
+                )
+            if not self._seen_root:
+                raise XMLSyntaxError("document has no root element", position)
+            return _EOF, pos, None, (), None
+        if self._data[pos] != _LT:
+            kind = _TEXT
+            end = self._find(b"<", pos)
+            if end == -1:
+                end = len(self._data)
+            text = self._data[pos:end]
+        else:
+            # The longest prefix, ``<![CDATA[``, decides the construct.
+            self._have(pos + 9)
+            head = self._data[pos : pos + 9]
+            if head[:4] == b"<!--":
+                kind, needle, what = _SKIP, b"-->", "construct, expected '-->'"
+            elif head == b"<![CDATA[":
+                kind, needle, what = _CDATA, b"]]>", "CDATA section"
+            elif head[1:2] == b"?":
+                kind, needle, what = _SKIP, b"?>", "construct, expected '?>'"
+            elif head[1:2] == b"!":  # no needle: brackets nest in a DOCTYPE
+                kind, needle, what = _SKIP, b"", "<!DOCTYPE ...> clause"
+            elif head[1:2] == b"/":
+                kind, needle, what = _END, b">", "end tag"
+            else:
+                kind, needle, what = _START, b">", "start tag"
+            end = self._find(needle, pos) if needle else self._doctype_end(pos)
+            if end == -1:
+                raise XMLSyntaxError(f"unterminated {what}", position)
+            data = self._data
+            if kind == _SKIP:
+                return _SKIP, end + len(needle or b">"), None, (), None
+            if kind == _CDATA:
+                text = data[pos + 9 : end]
+                end += 3
+            elif kind == _END:
+                name = data[pos + 2 : end].strip()
+                if not name:
+                    raise XMLSyntaxError("empty end tag", position)
+                if name + b">" != expected:
+                    name = _decode_name(name, position)
+                    if expected is None:
+                        raise XMLSyntaxError(
+                            f"closing tag </{name}> with no open element", position
+                        )
+                    raise XMLSyntaxError(
+                        f"mismatched closing tag </{name}>, "
+                        f"expected </{expected[:-1].decode('utf-8')}>",
+                        position,
+                    )
+                return _END, end + 1, expected, (), None
+            else:
+                closing = data[end - 1] == _SLASH
+                name, attributes = self._parse_tag_body(
+                    data[pos + 1 : end - closing], position
+                )
+                if expected is None:
+                    if self._seen_root:
+                        raise XMLSyntaxError(
+                            "document has more than one root element", position
+                        )
+                    self._seen_root = True
+                return _LEAF if closing else _START, end + 1, name, attributes, b""
+        if expected is None and (kind == _CDATA or not _ws_only(text)):
+            raise XMLSyntaxError("character data outside the root element", position)
+        return kind, end, None, (), text
+
+    def _parse_tag_body(
+        self, body: bytes, position: int
+    ) -> tuple[bytes, list[tuple[bytes, bytes]]]:
+        """A start tag's name and its ``(name, value)`` attribute pairs."""
+        body = body.strip()
+        if not body:
+            raise XMLSyntaxError("empty start tag", position)
+        split = _WS_SEARCH(body)
+        i = length = len(body)
+        if split is not None:
+            i = split.start()
+        name = body[:i]
+        attributes: list[tuple[bytes, bytes]] = []
+        while i < length:
+            while body[i] in b" \t\r\n":
+                i += 1
+            eq = body.find(b"=", i)
+            attr_name = body[i:eq].strip()
+            problem = None
+            if eq == -1 or _NOT_A_NAME(attr_name):
+                problem = "malformed attribute"
+            else:
+                j = eq + 1
+                while j < length and body[j] in b" \t\r\n":
+                    j += 1
+                close = -1
+                if j >= length or body[j] not in b"\"'":
+                    problem = "unquoted attribute value"
+                else:
+                    close = body.find(body[j : j + 1], j + 1)
+                    if close == -1:
+                        problem = "unterminated attribute value"
+            if problem is not None:
+                tag = name.decode("utf-8", "replace")
+                raise XMLSyntaxError(f"{problem} in <{tag}>", position)
+            attributes.append((attr_name, body[j + 1 : close]))
+            i = close + 1
+        if not body.isascii():
+            # Names become tags; values stay bytes until read.
+            _decode_name(name, position)
+            for attr_name, _value in attributes:
+                _decode_name(attr_name, position)
+        return name, attributes
+
+    def _have(self, size: int) -> bool:
+        """Whether the window holds ``size`` bytes, refilling as needed."""
+        while len(self._data) < size:
+            if not self._refill():
+                return False
+        return True
+
+    def _find(self, needle: bytes, start: int) -> int:
+        """``bytes.find`` that refills until the needle appears or input ends."""
+        end = self._data.find(needle, start)
+        while end == -1:
+            old_length = len(self._data)
+            if not self._refill():
+                return -1
+            # The needle may straddle the old chunk boundary; resuming
+            # there keeps one long text run linear in the refills.
+            rescan_from = max(start, old_length - len(needle) + 1)
+            end = self._data.find(needle, rescan_from)
+        return end
+
+    def _doctype_end(self, pos: int) -> int:
+        """The ``>`` closing the DOCTYPE at ``pos`` (which may hold an
+        internal subset in square brackets); -1 when input ends first."""
+        depth = 0
+        i = pos
+        while self._have(i + 1):
+            ch = self._data[i]
+            if ch == 0x5B:  # ``[``
+                depth += 1
+            elif ch == 0x5D:  # ``]``
+                depth -= 1
+            elif ch == 0x3E and depth <= 0:  # ``>``
+                return i
+            i += 1
+        return -1
+
+    # ------------------------------------------------------------------
+    # the emitters: LIVE, DEAD and COPY
     # ------------------------------------------------------------------
 
     def _fill(self) -> bool:
-        """Scan the next batch of tokens into ``_out``.
+        """LIVE: scan the next batch of tokens into ``_out``.
 
         Returns False when the stream is exhausted (or a deferred syntax
         error is pending); True when the batch may hold tokens — possibly
@@ -456,232 +680,89 @@ class XMLTokenizer:
         out.clear()
         self._out_pos = 0
         append = out.append
-        data = self._data
-        find = data.find
         pos = self._pos
-        scan_start = pos
         limit = pos + self._batch_bytes
-        offset = self._offset
         strip_ws = self._strip_whitespace
         open_tags = self._open_tags
         pop = open_tags.pop
         push = open_tags.append
         live_row = self._start_tags
-        row = child_row = self._row
+        row = self._row
         # Rows are consulted only while ``row`` is a guide's: without a
         # guide, and inside a LIVE subtree, it is the tokenizer's own table,
         # no entry says DEAD or text-dead and one flag skips the bookkeeping.
         guided = row is not live_row
-        end_tags = self._end_tags
+        read = self._read
         lazy_new = LazyText.__new__
         lazy_cls = LazyText
         set_raw = _SET_RAW
-        dead = DEAD
-        copy = COPY
+        more = True
         try:
             if self._dead_depth:
                 # The previous batch ended inside a dead subtree.
-                pos = self._scan_dead(pos, limit)
-                data = self._data
-                find = data.find
+                pos = self._emit_dead(pos, limit)
             while pos <= limit:
-                # EAFP bounds handling: indexing past the window raises
-                # instead of paying a ``pos >= n`` compare per token
-                # (zero-cost try on CPython 3.11+ exception tables).
-                try:
-                    first_byte = data[pos]
-                except IndexError:
-                    self._pos = pos
-                    if not self._refill():
-                        break
-                    data = self._data
-                    find = data.find
-                    continue
-                if first_byte != _LT:
-                    # -- character data run ------------------------------
-                    end = find(b"<", pos)
-                    if end == -1:
-                        self._pos = pos
-                        end = self._find_text_end(len(data))
-                        data = self._data
-                        find = data.find
-                    raw = data[pos:end]
-                    start = pos
-                    pos = end
-                    if (first_byte < 33 or first_byte >= 0xC2) and (
-                        raw.isspace() or _UNICODE_WS(raw) is not None
-                    ):
-                        if strip_ws:
+                construct = read(pos, open_tags[-1][0] if open_tags else None)
+                kind, end, name, attributes, text = construct
+                if kind == _START or kind == _LEAF:
+                    entry = row.get(name)
+                    if entry is None:
+                        entry = self._miss(row, name)
+                    child_row = live_row
+                    if guided:
+                        if entry is DEAD:
+                            pos = self._emit_dead(pos, limit, construct)
                             continue
-                    elif not open_tags:
-                        raise XMLSyntaxError(
-                            "character data outside the root element",
-                            start + offset,
-                        )
-                    if guided and open_tags and open_tags[-1][7]:
-                        append(Skipped(1, 1, 0))
-                        continue
-                    # Inlined LazyText construction (``__new__`` plus one
-                    # slot-descriptor store, no constructor frame): this
-                    # runs once per text node in the document.
-                    token = lazy_new(lazy_cls)
-                    set_raw(token, raw)
-                    append(token)
-                    continue
-                try:
-                    second = data[pos + 1]
-                except IndexError:
-                    # ``<`` is the window's last byte: in file mode the
-                    # construct continues in the next chunk.
-                    self._pos = pos
-                    second = self._second_byte(pos)
-                    data = self._data
-                    find = data.find
-                if second == _SLASH:
-                    # -- end tag -----------------------------------------
-                    # Fast path: compare the upcoming bytes against the
-                    # precomputed ``name>`` closer of the innermost open
-                    # element.  A hit resolves the token, proves the match
-                    # and advances — no ``find``, no name parse.
-                    if open_tags:
-                        closer = open_tags[-1]
-                        skip = closer[1]
-                        if data[pos + 2 : pos + 2 + skip] == closer[0]:
-                            pop()
-                            pos = pos + 2 + skip
-                            append(closer[2])
-                            if guided:
-                                row = closer[6]
-                            continue
-                    # Slow path: whitespace inside the tag, a mismatch, or
-                    # a chunk boundary mid-tag.
-                    end = find(b">", pos)
-                    if end == -1:
-                        end = self._tag_end(pos, "end")
-                        data = self._data
-                        find = data.find
-                    key = data[pos + 2 : end]
-                    token = end_tags.get(key)
-                    if token is None:
-                        stripped = key.strip()
-                        if not stripped:
-                            raise XMLSyntaxError("empty end tag", pos + offset)
-                        token = end_tags[key] = EndTag(
-                            intern(_decode_name(stripped, pos + offset))
-                        )
-                    name = token.tag
-                    if not open_tags:
-                        raise XMLSyntaxError(
-                            f"closing tag </{name}> with no open element",
-                            pos + offset,
-                        )
-                    closer = open_tags[-1]
-                    if closer[3] != name:
-                        raise XMLSyntaxError(
-                            f"mismatched closing tag </{name}>, "
-                            f"expected </{closer[3]}>",
-                            pos + offset,
-                        )
-                    pop()
-                    row = closer[6]
+                        child_row = entry[5]
+                        if child_row is COPY:
+                            copied = self._emit_copy(pos, construct)
+                            if copied >= 0:
+                                pos = copied
+                                continue
+                            child_row = None
+                        if child_row is None:
+                            # LIVE: no row is consulted until it closes.
+                            child_row = live_row
+                            guided = kind == _LEAF
+                    append(entry[4])
+                    if attributes:
+                        self._emit_attributes(attributes, child_row)
+                    if kind == _START:
+                        push(entry)
+                        row = child_row
+                    else:
+                        if text and not (strip_ws and _ws_only(text)):
+                            if entry[7]:
+                                append(Skipped(1, 1, 0))
+                            else:
+                                token = lazy_new(lazy_cls)
+                                set_raw(token, text)
+                                append(token)
+                        append(entry[2])
+                elif kind == _END:
+                    entry = pop()
+                    append(entry[2])
+                    row = entry[6]
                     if row is None:
                         row = live_row
                     guided = row is not live_row
-                    pos = end + 1
-                    append(token)
-                    continue
-                if second == _BANG or second == _QMARK:
-                    self._pos = pos
-                    end, content = self._skip_markup(pos)
-                    data = self._data
-                    find = data.find
-                    if content is None:
-                        pos = end
-                        continue
-                    if not open_tags:
-                        raise XMLSyntaxError(
-                            "character data outside the root element",
-                            pos + offset,
-                        )
-                    pos = end
-                    if strip_ws and _ws_only(content):
-                        continue
-                    if open_tags[-1][7]:
-                        append(Skipped(1, 1, 0))
-                    else:
-                        append(LazyCData(content))
-                    continue
-                # -- start tag -------------------------------------------
-                end = find(b">", pos)
-                if end == -1:
-                    end = self._tag_end(pos, "start")
-                    data = self._data
-                    find = data.find
-                if data[end - 1] == _SLASH:
-                    self_closing = True
-                    body = data[pos + 1 : end - 1]
-                else:
-                    self_closing = False
-                    body = data[pos + 1 : end]
-                # Interned fast path: every row key is whitespace-free
-                # (guarded at the insertion sites), so a hit proves the
-                # body is a bare, already-seen tag name and the whitespace
-                # scan and name parse can be skipped entirely.
-                entry = row.get(body)
-                if entry is None:
-                    if _WS_SEARCH(body) is not None:
-                        name_key, attributes = self._parse_tag_body(body, pos)
-                    elif body:
-                        name_key = body
-                        attributes = ()
-                    else:
-                        raise XMLSyntaxError("empty start tag", pos + offset)
-                    entry = row.get(name_key)
-                    if entry is None:
-                        _decode_name(name_key, pos + offset)
-                        entry = self._miss(row, name_key)
-                else:
-                    attributes = ()
-                if not open_tags:
-                    if self._seen_root:
-                        raise XMLSyntaxError(
-                            "document has more than one root element",
-                            pos + offset,
-                        )
-                    self._seen_root = True
-                if guided:
-                    if entry is dead:
-                        # Validate the subtree without building it,
-                        # re-scanned from its ``<``.
-                        pos = self._scan_dead(pos, limit)
-                        data = self._data
-                        find = data.find
-                        continue
-                    child_row = entry[5]
-                    if child_row is None:
-                        # LIVE: no row is consulted until the element closes.
-                        child_row = live_row
-                        guided = self_closing
-                    elif child_row is copy:
-                        # Deliver the subtree as one Span, scanned from its
-                        # ``<``; when it cannot be copied, LIVE from there.
-                        copied = self._scan_copy(pos)
-                        data = self._data
-                        find = data.find
-                        if copied >= 0:
-                            pos = copied
-                            continue
-                        child_row = live_row
-                        guided = self_closing
-                pos = end + 1
-                append(entry[4])
-                if attributes:
-                    self._emit_attributes(attributes, child_row)
-                if self_closing:
-                    append(entry[2])
-                else:
-                    push(entry)
-                    row = child_row
+                elif kind == _TEXT or kind == _CDATA:
+                    if not (strip_ws and _ws_only(text)):
+                        if open_tags and open_tags[-1][7]:
+                            append(Skipped(1, 1, 0))
+                        elif kind == _TEXT:
+                            # Inlined LazyText construction (``__new__``
+                            # plus one slot-descriptor store, no
+                            # constructor frame).
+                            token = lazy_new(lazy_cls)
+                            set_raw(token, text)
+                            append(token)
+                        else:
+                            append(LazyCData(text))
+                elif kind == _EOF:
+                    more = False
+                    break
+                pos = end
         except XMLSyntaxError as error:
             # Deliver already-scanned tokens first, then the error — the
             # stream behaves exactly like the token-at-a-time oracle.
@@ -692,252 +773,124 @@ class XMLTokenizer:
             return bool(out)
         self._pos = pos
         self._row = row
-        if out:
-            return True
-        # No tokens: either the stream ended, or the budget went into
-        # skipped constructs / stripped whitespace and scanning continues.
-        # (``pos > scan_start``: every loop iteration that saw input either
-        # appended a token or advanced the scan position.)
-        return pos > scan_start and (pos < len(self._data) or not self._at_eof())
+        return more or bool(out)
 
-    def _scan_dead(self, pos: int, limit: int) -> int:
-        """Validate one dead subtree without building it.
+    def _emit_dead(self, pos: int, limit: int, construct: "tuple | None" = None) -> int:
+        """DEAD: read one dead subtree without building it.
 
-        Entered at the ``<`` of a start tag the row calls :data:`DEAD` (or,
-        when a batch ended inside the subtree, wherever it stopped) and
-        left behind its closing tag, or where the batch budget ran out.
-        Every check of the delivering loop is kept — closer stack and
-        end-tag match, attribute syntax, unterminated constructs,
-        whitespace-only classification, refills — but no token is
-        allocated, no text sliced and no tag interned: what the unguided
+        Entered with the row of a start tag the guide calls :data:`DEAD`
+        (or, when a batch ended inside the subtree, with none: the
+        subtree's closers are still on the stack) and left behind its
+        closing tag, or where the batch budget ran out.  What the unguided
         stream would have delivered leaves as one :class:`Skipped`, ahead
-        of the error when a check fails.
+        of the error when the reader finds one.
         """
-        data = self._data
-        find = data.find
-        offset = self._offset
         strip_ws = self._strip_whitespace
         open_tags = self._open_tags
+        read = self._read
         depth = self._dead_depth
         roots = 0 if depth else 1
         tokens = dropped = 0
         try:
             while pos <= limit and (depth or not tokens):
-                try:
-                    first_byte = data[pos]
-                except IndexError:
-                    self._pos = pos
-                    if not self._refill():
-                        break
-                    data = self._data
-                    find = data.find
-                    continue
-                if first_byte != _LT:
-                    end = find(b"<", pos)
-                    if end == -1:
-                        self._pos = pos
-                        end = self._find_text_end(len(data))
-                        data = self._data
-                        find = data.find
-                    if not (
-                        strip_ws
-                        and (first_byte < 33 or first_byte >= 0xC2)
-                        and _ws_only(data[pos:end])
-                    ):
-                        tokens += 1
-                        dropped += 1
-                    pos = end
-                    continue
-                try:
-                    second = data[pos + 1]
-                except IndexError:
-                    self._pos = pos
-                    second = self._second_byte(pos)
-                    data = self._data
-                    find = data.find
-                if second == _SLASH:
-                    closer = open_tags[-1]  # ``b"</name>"``
-                    skip = len(closer)
-                    if data[pos : pos + skip] == closer:
-                        pos = pos + skip
-                    else:
-                        end = find(b">", pos)
-                        if end == -1:
-                            end = self._tag_end(pos, "end")
-                            data = self._data
-                            find = data.find
-                        key = data[pos + 2 : end].strip()
-                        if not key:
-                            raise XMLSyntaxError("empty end tag", pos + offset)
-                        if key != closer[2:-1]:
-                            raise XMLSyntaxError(
-                                "mismatched closing tag "
-                                f"</{_decode_name(key, pos + offset)}>"
-                                f", expected {closer.decode('utf-8')}",
-                                pos + offset,
-                            )
-                        pos = end + 1
+                if construct is None:
+                    construct = read(pos, open_tags[-1])
+                kind, pos, name, attributes, text = construct
+                construct = None
+                if kind == _END:
                     open_tags.pop()
                     depth -= 1
                     tokens += 1
                     continue
-                if second == _BANG or second == _QMARK:
-                    self._pos = pos
-                    pos, content = self._skip_markup(pos)
-                    data = self._data
-                    find = data.find
-                    if content is not None and not (
-                        strip_ws and _ws_only(content)
-                    ):
-                        tokens += 1
-                        dropped += 1
-                    continue
-                end = find(b">", pos)
-                if end == -1:
-                    end = self._tag_end(pos, "start")
-                    data = self._data
-                    find = data.find
-                if data[end - 1] == _SLASH:
-                    self_closing = True
-                    body = data[pos + 1 : end - 1]
-                else:
-                    self_closing = False
-                    body = data[pos + 1 : end]
-                if _WS_OR_HIGH_SEARCH(body) is None:
-                    if not body:
-                        raise XMLSyntaxError("empty start tag", pos + offset)
-                elif _WS_SEARCH(body) is None:
-                    _decode_name(body, pos + offset)
-                else:
-                    body, attributes = self._parse_tag_body(body, pos)
+                if kind == _START or kind == _LEAF:
+                    tokens += 1
+                    dropped += 1
                     for _name, value in attributes:
-                        if value:
-                            tokens += 3
-                            dropped += 2
-                        else:
-                            tokens += 2
-                            dropped += 1
-                tokens += 1
-                dropped += 1
-                pos = end + 1
-                if self_closing:
+                        tokens += 3 if value else 2
+                        dropped += 2 if value else 1
+                    if kind == _START:
+                        open_tags.append(name + b">")
+                        depth += 1
+                        continue
                     tokens += 1
-                    continue
-                closer = b"</" + body + b">"
-                # Leaf fast path: ``<name>text</name>`` inside the window
-                # closes in the same step — no push, no pop.
-                end = find(b"<", pos)
-                if end != -1 and data[end : end + len(closer)] == closer:
-                    if end > pos and not (
-                        strip_ws
-                        and (data[pos] < 33 or data[pos] >= 0xC2)
-                        and _ws_only(data[pos:end])
-                    ):
-                        tokens += 1
-                        dropped += 1
+                    if not text:
+                        continue
+                if text is not None and not (strip_ws and _ws_only(text)):
                     tokens += 1
-                    pos = end + len(closer)
-                else:
-                    open_tags.append(closer)
-                    depth += 1
+                    dropped += 1
         finally:
             self._dead_depth = depth
             if tokens:
                 self._out.append(Skipped(tokens, dropped, roots))
         return pos
 
-    def _scan_copy(self, pos: int) -> int:
-        """Deliver the subtree at ``pos`` as one :class:`Span`, or bail.
+    def _emit_copy(self, pos: int, construct: tuple) -> int:
+        """COPY: deliver the subtree at ``pos`` as one :class:`Span`, or bail.
 
-        Entered at the ``<`` of a start tag whose entry is :data:`COPY`.
-        The subtree is validated like a dead one, and what the serializer
-        would write for its tokens is assembled as it goes: a run of input
-        that is already in that canonical form stays one slice, and only
-        what is not — ``<a></a>`` (written ``<a/>``), attributes (leading
-        subelements, values unescaped and re-escaped), text holding ``&``
-        or ``>``, CDATA, whitespace inside tags — is rewritten; comments,
-        processing instructions and whitespace-only text are dropped.
+        Entered with the row of a start tag whose entry is :data:`COPY`.
+        What the serializer would write for the subtree's tokens is
+        assembled as it is read: a run of input already in that canonical
+        form stays one slice, and only what is not — ``<a></a>`` (written
+        ``<a/>``), attributes (leading subelements, values re-escaped),
+        text holding ``&`` or ``>``, CDATA, whitespace inside tags — is
+        rewritten; comments, processing instructions and whitespace-only
+        text are dropped.
 
         Returns the position behind the subtree, with the :class:`Span`
         appended to the batch, or -1 when the subtree cannot be copied: a
         tag or attribute named like the subtree's root (a possible nested
         match the consumer must see), a syntax error, invalid UTF-8, or no
         close within one batch budget.  Nothing is consumed then; the
-        caller delivers the element LIVE from ``pos``, so every error keeps
-        its message, offset and place in the stream.  Each byte is thus
-        scanned at most twice, and a span never outgrows one batch.
+        caller delivers the element LIVE from the same row, so every error
+        keeps its message, offset and place in the stream.  Each byte is
+        thus read at most twice, and a span never outgrows one batch.
         """
-        data = self._data
-        find = data.find
         limit = pos + self._batch_bytes
         strip_ws = self._strip_whitespace
-        known = self._copy_closers
+        read = self._read
         parts: list[bytes] = []  # canonical output, in order
         put = parts.append
         run = pos  # start of the verbatim run not yet in ``parts``
-        closers: list[bytes] = []  # ``b"</name>"`` of the open elements
-        root = None  # the subtree root's name: a nested match to avoid
+        closers: list[bytes] = []  # ``b"name>"`` of the open elements
+        root = construct[2]  # a nested element so named may be a match
         tokens = 0
         # Length of the canonical ``<name>`` just written while nothing has
         # followed it yet: an end tag now collapses the pair into ``<name/>``.
         pending = 0
         try:
-            while pos <= limit:
-                try:
-                    first_byte = data[pos]
-                except IndexError:
-                    if not self._refill():
+            while True:
+                kind, end, name, attributes, text = construct
+                data = self._data
+                rewrite = None  # what replaces the construct; b"": dropped
+                if kind == _START or kind == _LEAF:
+                    if closers and name == root:
                         break
-                    data = self._data
-                    find = data.find
-                    continue
-                if first_byte != _LT:
-                    end = find(b"<", pos)
-                    if end == -1:
-                        end = self._find_text_end(len(data))
-                        data = self._data
-                        find = data.find
-                    if (
-                        strip_ws
-                        and (first_byte < 33 or first_byte >= 0xC2)
-                        and _ws_only(data[pos:end])
-                    ):
-                        if run < pos:
-                            put(data[run:pos])
-                        run = pos = end
-                        continue
+                    if attributes and root in dict(attributes):
+                        break
                     tokens += 1
+                    for _name, value in attributes:
+                        tokens += 3 if value else 2
                     pending = 0
-                    if _NEEDS_ESCAPE(data, pos, end) is not None:
-                        if run < pos:
-                            put(data[run:pos])
-                        put(_recanonical(data[pos:end]))
-                        run = end
-                    pos = end
-                    continue
-                try:
-                    second = data[pos + 1]
-                except IndexError:
-                    self._pos = pos
-                    second = self._second_byte(pos)
-                    data = self._data
-                    find = data.find
-                if second == _SLASH:
-                    closer = closers[-1]
-                    skip = len(closer)
-                    if data[pos : pos + skip] == closer:
-                        end = pos + skip
-                        rewrite = False
+                    if kind == _START:
+                        closers.append(name + b">")
+                        if attributes or end - pos != len(name) + 2:
+                            rewrite = _canonical_tag(name, attributes, None)
+                        if not attributes:
+                            pending = len(name) + 2
                     else:
-                        end = find(b">", pos)
-                        if end == -1:
-                            end = self._tag_end(pos, "end")
-                            data = self._data
-                            find = data.find
-                        if data[pos + 2 : end].strip() != closer[2:-1]:
-                            break  # mismatched or empty: LIVE reports it
-                        end += 1
-                        rewrite = True
+                        tokens += 1
+                        if text and strip_ws and _ws_only(text):
+                            text = b""
+                        # Only the kernel reads a leaf with text, whose
+                        # text never needs escaping.
+                        if text:
+                            tokens += 1
+                            size = 2 * len(name) + 5 + len(text)  # <n>t</n>
+                        else:
+                            size = len(name) + 3  # <n/>
+                        if attributes or end - pos != size:
+                            rewrite = _canonical_tag(name, attributes, text)
+                elif kind == _END:
                     closers.pop()
                     tokens += 1
                     if pending:
@@ -948,147 +901,44 @@ class XMLTokenizer:
                                 put(data[run : pos - pending])
                         else:
                             parts[-1] = parts[-1][:-pending]
-                        put(b"<" + closer[2:-1] + b"/>")
+                        put(b"<" + name[:-1] + b"/>")
                         run = end
                         pending = 0
-                    elif rewrite:
-                        if run < pos:
-                            put(data[run:pos])
-                        put(closer)
-                        run = end
-                    pos = end
-                elif second == _BANG or second == _QMARK:
-                    end, content = self._skip_markup(pos)
-                    data = self._data
-                    find = data.find
-                    if run < pos:
-                        put(data[run:pos])
-                    run = end
-                    if content is not None and not (
-                        strip_ws and _ws_only(content)
-                    ):
+                    elif end - pos != len(name) + 2:
+                        rewrite = b"</" + name
+                elif kind == _TEXT or kind == _CDATA:
+                    if strip_ws and _ws_only(text):
+                        rewrite = b""
+                    else:
                         tokens += 1
                         pending = 0
-                        put(escape_text(content.decode("utf-8")).encode("utf-8"))
-                    pos = end
-                    continue
-                else:
-                    end = find(b">", pos)
-                    if end == -1:
-                        end = self._tag_end(pos, "start")
-                        data = self._data
-                        find = data.find
-                    if data[end - 1] == _SLASH:
-                        self_closing = True
-                        body = data[pos + 1 : end - 1]
-                    else:
-                        self_closing = False
-                        body = data[pos + 1 : end]
-                    tokens += 1
-                    pending = 0
-                    # A bare name, written as is: ``known`` holds the closer
-                    # of each one seen (a hit proves the body bare).
-                    closer = known.get(body)
-                    if closer is None and body and _WS_SEARCH(body) is None:
-                        closer = known[body] = b"</" + body + b">"
-                    if closer is not None:
-                        if root is None:
-                            root = body
-                        elif body == root:
-                            break  # a nested match: the consumer must see it
-                        start = pos
-                        pos = end + 1
-                        if self_closing:
-                            tokens += 1
-                        else:
-                            # Leaf fast path: ``<name>text</name>`` in one
-                            # step, no push, no pop.
-                            skip = len(closer)
-                            end = find(b"<", pos)
-                            if end == -1 or data[end : end + skip] != closer:
-                                closers.append(closer)
-                                pending = skip - 1
-                            else:
-                                tokens += 1
-                                if end > pos and not (
-                                    strip_ws
-                                    and (data[pos] < 33 or data[pos] >= 0xC2)
-                                    and _ws_only(data[pos:end])
-                                ):
-                                    tokens += 1
-                                    if _NEEDS_ESCAPE(data, pos, end) is not None:
-                                        if run < pos:
-                                            put(data[run:pos])
-                                        put(_recanonical(data[pos:end]))
-                                        run = end
-                                else:  # no content: written ``<name/>``
-                                    if run < start:
-                                        put(data[run:start])
-                                    put(b"<" + body + b"/>")
-                                    run = end + skip
-                                pos = end + skip
-                    else:
-                        name, attributes = self._parse_tag_body(body, pos)
-                        if root is None:
-                            root = name
-                        elif name == root:
-                            break
-                        rewritten = self._canonical_start(name, attributes, root)
-                        if rewritten is None:
-                            break
-                        tag, attribute_tokens = rewritten
-                        tokens += attribute_tokens
-                        if run < pos:
-                            put(data[run:pos])
-                        run = end + 1
-                        if self_closing:
-                            tokens += 1
-                            if attribute_tokens:
-                                put(tag + b"</" + name + b">")
-                            else:
-                                put(b"<" + name + b"/>")
-                        else:
-                            put(tag)
-                            closers.append(b"</" + name + b">")
-                            if not attribute_tokens:
-                                pending = len(name) + 2
-                        pos = end + 1
+                        if kind == _CDATA:
+                            rewrite = escape_text(text.decode("utf-8")).encode()
+                        elif _NEEDS_ESCAPE(text) is not None:
+                            rewrite = _canonical_text(text)
+                elif kind == _SKIP:
+                    rewrite = b""
+                if rewrite is not None:
+                    if run < pos:
+                        put(data[run:pos])
+                    if rewrite:
+                        put(rewrite)
+                    run = end
+                pos = end
+                if pos > limit:
+                    break
                 if not closers:
-                    # The root closed: a span, unless it outgrew the batch.
-                    if pos > limit:
-                        break
+                    # The root closed: one span.
                     if run < pos:
                         put(data[run:pos])
                     self._out.append(Span(b"".join(parts).decode("utf-8"), tokens))
                     return pos
+                construct = read(pos, closers[-1])
         except (XMLSyntaxError, UnicodeDecodeError):
             pass
-        # Budget spent, input ended, or a bail above: nothing consumed.
+        # Budget spent, or a bail above: nothing consumed.
         self._guide.copy_failed()
         return -1
-
-    def _canonical_start(
-        self, name: bytes, attributes: list, root: bytes
-    ) -> "tuple[bytes, int] | None":
-        """A rewritten start tag as the serializer writes it — attributes
-        as leading subelements — and the tokens those add; ``None`` when it
-        cannot be copied (an attribute named like the root would be a
-        nested match; an empty name, or one with no tag form, has no
-        canonical form)."""
-        chunks = [b"<", name, b">"]
-        tokens = 0
-        for attr_name, value in attributes:
-            if attr_name == root or not attr_name or _NO_TAG_FORM(attr_name):
-                return None
-            if value:
-                tokens += 3
-                if _VALUE_NEEDS_ESCAPE(value) is not None:
-                    value = _recanonical(value)
-                chunks += (b"<", attr_name, b">", value, b"</", attr_name, b">")
-            else:
-                tokens += 2
-                chunks += (b"<", attr_name, b"/>")
-        return b"".join(chunks), tokens
 
     def _miss(self, row: dict, name_key: bytes):
         """The entry of a tag ``row`` has not seen yet (filled in)."""
@@ -1104,13 +954,7 @@ class XMLTokenizer:
         for attr_name, attr_value in attributes:
             entry = row.get(attr_name)
             if entry is None:
-                # Pathological attr names (empty, or containing whitespace)
-                # stay uncached and delivered: the start-tag fast path
-                # relies on row keys being bare names.
-                if attr_name and _WS_SEARCH(attr_name) is None:
-                    entry = self._miss(row, attr_name)
-                else:
-                    entry = scan_entry(attr_name)
+                entry = self._miss(row, attr_name)
             if entry is DEAD:
                 append(Skipped(3, 2, 1) if attr_value else Skipped(2, 1, 1))
                 continue
@@ -1121,175 +965,6 @@ class XMLTokenizer:
             if attr_value:
                 append(Skipped(1, 1, 0) if entry[7] else LazyText(attr_value))
             append(entry[2])
-
-    def _find_text_end(self, searched: int) -> int:
-        """The next ``<`` past the first ``searched`` bytes of the window,
-        refilling as needed; the end of input when there is none."""
-        while self._refill():
-            # Resume the search where the old data ended: rescanning from
-            # the run's start would make one long text run quadratic in the
-            # number of refills.
-            end = self._data.find(b"<", searched)
-            if end != -1:
-                return end
-            searched = len(self._data)
-        return len(self._data)
-
-    def _tag_end(self, pos: int, kind: str) -> int:
-        """The ``>`` of the tag at ``pos`` once a later chunk holds it."""
-        self._pos = pos
-        end = self._find(b">", pos)
-        if end == -1:
-            raise XMLSyntaxError(f"unterminated {kind} tag", pos + self._offset)
-        return end
-
-    def _second_byte(self, pos: int) -> int:
-        """The byte after the ``<`` at ``pos`` once the next chunk holds
-        it; -1 when the input ends there."""
-        while pos + 1 >= len(self._data) and self._refill():
-            pass
-        data = self._data
-        return data[pos + 1] if pos + 1 < len(data) else -1
-
-    def _skip_markup(self, pos: int) -> "tuple[int, bytes | None]":
-        """Skip the ``<!…``/``<?…`` construct at ``pos``.
-
-        Returns where it ends and, for a CDATA section, its content
-        (comments, processing instructions and DOCTYPE yield ``None``).
-        """
-        offset = self._offset
-        # Make the construct kind decidable even when a chunk boundary
-        # splits the prefix (longest is ``<![CDATA[``).
-        while len(self._data) - pos < 9 and self._refill():
-            pass
-        data = self._data
-        if data[pos : pos + 4] == b"<!--":
-            end = self._find(b"-->", pos)
-            if end == -1:
-                raise XMLSyntaxError(
-                    "unterminated construct, expected '-->'", pos + offset
-                )
-            return end + 3, None
-        if data[pos : pos + 9] == b"<![CDATA[":
-            end = self._find(b"]]>", pos)
-            if end == -1:
-                raise XMLSyntaxError("unterminated CDATA section", pos + offset)
-            return end + 3, self._data[pos + 9 : end]
-        if data[pos + 1] == _QMARK:
-            end = self._find(b"?>", pos)
-            if end == -1:
-                raise XMLSyntaxError(
-                    "unterminated construct, expected '?>'", pos + offset
-                )
-            return end + 2, None
-        return self._skip_doctype(pos), None
-
-    def _at_eof(self) -> bool:
-        return not self._refill()
-
-    def _find(self, needle: bytes, start: int) -> int:
-        """``bytes.find`` that refills until the needle appears or input ends."""
-        end = self._data.find(needle, start)
-        while end == -1:
-            old_length = len(self._data)
-            if not self._refill():
-                return -1
-            # The needle may straddle the old chunk boundary.
-            rescan_from = max(start, old_length - len(needle) + 1)
-            end = self._data.find(needle, rescan_from)
-        return end
-
-    def _skip_doctype(self, pos: int) -> int:
-        # DOCTYPE may contain an internal subset in square brackets.
-        depth = 0
-        i = pos
-        while True:
-            while i >= len(self._data):
-                if not self._refill():
-                    raise XMLSyntaxError(
-                        "unterminated <!DOCTYPE ...> clause", pos + self._offset
-                    )
-            ch = self._data[i]
-            if ch == 0x5B:  # ``[``
-                depth += 1
-            elif ch == 0x5D:  # ``]``
-                depth -= 1
-            elif ch == 0x3E and depth <= 0:  # ``>``
-                return i + 1
-            i += 1
-
-    def _parse_tag_body(
-        self, body: bytes, pos: int
-    ) -> tuple[bytes, list[tuple[bytes, bytes]]]:
-        body = body.strip()
-        if not body:
-            raise XMLSyntaxError("empty start tag", pos + self._offset)
-        i = 0
-        length = len(body)
-        while i < length and body[i] not in b" \t\r\n":
-            i += 1
-        name = body[:i]
-        attributes: list[tuple[bytes, bytes]] = []
-        while i < length:
-            while i < length and body[i] in b" \t\r\n":
-                i += 1
-            if i >= length:
-                break
-            eq = body.find(b"=", i)
-            if eq == -1:
-                raise XMLSyntaxError(
-                    "malformed attribute in "
-                    f"<{name.decode('utf-8', 'replace')}>",
-                    pos + self._offset,
-                )
-            attr_name = body[i:eq].strip()
-            j = eq + 1
-            while j < length and body[j] in b" \t\r\n":
-                j += 1
-            if j >= length or body[j] not in b"\"'":
-                raise XMLSyntaxError(
-                    "unquoted attribute value in "
-                    f"<{name.decode('utf-8', 'replace')}>",
-                    pos + self._offset,
-                )
-            quote = body[j]
-            close = body.find(quote, j + 1)
-            if close == -1:
-                raise XMLSyntaxError(
-                    "unterminated attribute value in "
-                    f"<{name.decode('utf-8', 'replace')}>",
-                    pos + self._offset,
-                )
-            attributes.append((attr_name, body[j + 1 : close]))
-            i = close + 1
-        if not body.isascii():
-            # Names become tags; values stay bytes until read.
-            position = pos + self._offset
-            _decode_name(name, position)
-            for attr_name, _value in attributes:
-                _decode_name(attr_name, position)
-        return name, attributes
-
-    def _finish_checks(self) -> None:
-        if self._done:
-            return
-        self._done = True
-        # ``_pos`` is window-relative in chunked file mode; add the
-        # compacted-away prefix so positions stay document-absolute.
-        position = self._pos + self._offset
-        if self._open_tags:
-            top = self._open_tags[-1]
-            # A delivered element's entry, or a dead one's bare closer.
-            name = top[2:-1].decode("utf-8") if isinstance(top, bytes) else top[3]
-            error = XMLSyntaxError(
-                f"input exhausted with unclosed element <{name}>", position
-            )
-            self._attach_location(error)
-            raise error
-        if not self._seen_root:
-            error = XMLSyntaxError("document has no root element", position)
-            self._attach_location(error)
-            raise error
 
     def _attach_location(self, error: XMLSyntaxError) -> None:
         """Give the error what lazy line/column needs: the current window

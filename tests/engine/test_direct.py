@@ -170,6 +170,50 @@ class TestViolatingDocuments:
         on, _ = run_both(SUBTREE_QUERY, VIOLATING, schema)
         assert "schema fallbacks 1" in on.stats.summary()
 
+    def test_nested_captures_are_held_once(self):
+        """300 nested Q6 matches: each token is captured once for all the
+        matches open around it, so the fallback buffers no more than the
+        buffered engine (it held 141x more when every match kept its own
+        copy of the tokens)."""
+        depth = 300
+        document = (
+            "<site><regions><africa>"
+            + "<item><name>x</name>" * depth
+            + "</item>" * depth
+            + "</africa></regions></site>"
+        )
+        direct = GCXEngine().session(Q6.adapted, schema=xmark_schema()).run(document)
+        buffered = GCXEngine().session(Q6.adapted).run(document)
+        assert direct.output == buffered.output
+        assert direct.stats.schema_fallbacks == depth - 1
+        assert 0 < direct.stats.hwm_bytes <= buffered.stats.hwm_bytes
+        assert direct.stats.nodes_created == direct.stats.nodes_purged
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        chains=st.lists(
+            st.lists(
+                st.sampled_from(["", "<b>t</b>", "<b/><b>uv</b>"]),
+                min_size=1,
+                max_size=8,
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_nested_chains_buffer_no_more_than_the_buffered_engine(
+        self, chains, schema
+    ):
+        # Each chain nests one ``<a>`` per filler, the filler at its head.
+        nested = (
+            "".join("<a>" + filler for filler in chain) + "</a>" * len(chain)
+            for chain in chains
+        )
+        document = "<r>" + "".join(nested) + "</r>"
+        on, off = run_both(SUBTREE_QUERY, document, schema)
+        assert on.output == off.output
+        assert on.stats.hwm_bytes <= off.stats.hwm_bytes
+
 
 class TestSessionReuse:
     def test_compile_once_run_many(self, schema):

@@ -1,4 +1,4 @@
-"""The pre-optimization tokenizer, kept verbatim as a differential oracle.
+"""The pre-optimization tokenizer, kept as a differential oracle.
 
 This is the character-stepping tokenizer that :mod:`repro.xmlio.lexer`
 replaced with a chunk-scanning implementation.  It lives under ``tests/``
@@ -249,9 +249,18 @@ class ReferenceTokenizer:
             if i >= len(body):
                 break
             eq = body.find("=", i)
-            if eq == -1:
-                raise XMLSyntaxError(f"malformed attribute in <{name}>", pos)
             attr_name = body[i:eq].strip()
+            # An attribute becomes a subelement, so its name must read back
+            # as a start tag's: not empty, no whitespace, not ``/x``,
+            # ``!x``, ``?x`` (an end tag, markup) or ``x/`` (self-closing).
+            if (
+                eq == -1
+                or not attr_name
+                or any(ch in _WHITESPACE for ch in attr_name)
+                or attr_name[0] in "/!?"
+                or attr_name.endswith("/")
+            ):
+                raise XMLSyntaxError(f"malformed attribute in <{name}>", pos)
             j = eq + 1
             while j < len(body) and body[j] in _WHITESPACE:
                 j += 1

@@ -384,11 +384,16 @@ class TestBails:
         assert spans == (0 if b"</c>" in subtree else 1)
 
     @pytest.mark.parametrize("name", [b"/x", b"!x", b"?x", b"x/"])
-    def test_attribute_name_without_a_tag_form(self, name, guides):
+    def test_attribute_name_without_a_tag_form(self, name, guides, tmp_path):
         # Written as a tag, the name would not read back as a start tag of
-        # that name, so the span could not be tokenized back.
+        # that name: the document is malformed, alike on every route (the
+        # match bails to LIVE, which reports it).
         document = b"<r><a><b " + name + b'="1"/></a><a>next</a></r>'
-        assert check(document, guides["child"]) == (1, 1)
+        with pytest.raises(XMLSyntaxError) as error:
+            list(tokenize(document))
+        assert str(error.value) == "malformed attribute in <b> (at offset 6)"
+        for route, make in routes(document, tmp_path).items():
+            assert check(document, guides["child"], make) == (0, 1), route
 
     def test_a_span_never_exceeds_one_batch(self, guides):
         body = b"<b>filler</b>" * (BATCH_BYTES // 13 - 2)

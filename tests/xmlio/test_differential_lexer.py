@@ -131,6 +131,10 @@ class TestErrorDifferential:
         "<>empty</>",
         "<a><![CDATA[unterminated</a>",
         "<a><!-- unterminated</a>",
+        # Attribute names that would not read back as tag names.
+        '<a><b ="1"/></a>',
+        '<a><b x="2"a y="3"/></a>',
+        '<a><b /x="1"/></a>',
     ]
 
     @pytest.mark.parametrize("bad", ERROR_CASES)
