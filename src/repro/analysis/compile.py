@@ -58,7 +58,6 @@ class CompileOptions:
 
     early_updates: bool = True
     eliminate_redundant: bool = True
-    push_ifs_only_over_loops: bool = False
     first_witness: bool = True
 
 
@@ -118,9 +117,7 @@ def compile_query(
     # Section 3's "Pushing if-Statements").
     if options.early_updates:
         normalized = apply_early_updates(normalized)
-    normalized = push_ifs_down_query(
-        normalized, only_over_loops=options.push_ifs_only_over_loops
-    )
+    normalized = push_ifs_down_query(normalized)
     variables = analyze_variables(normalized)
     straight = compute_straight(variables)
     dependencies = collect_dependencies(

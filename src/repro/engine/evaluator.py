@@ -405,10 +405,15 @@ class Evaluator:
         to the end of the binding's subtree (every ``_iter_children``
         cursor runs until its context is finished).  A false result still
         drains both operands, exactly like the conservative path, so the
-        boolean — and therefore the output — is identical either way.
+        boolean — and therefore the output — is identical either way.  An
+        empty left operand is decided false before the right one is read,
+        as on the conservative path.
         """
         left_iter = self._operand_values(cond.left, env)
-        left_values: list[str] = []
+        first = next(left_iter, None)
+        if first is None:
+            return False
+        left_values = [first]
         for right_value in self._operand_values(cond.right, env):
             for left_value in left_values:
                 if _compare(left_value, cond.op, right_value):

@@ -15,9 +15,10 @@ Everything per-query is reused from the single-query engine, unchanged:
 * each query gets its own :class:`~repro.engine.session.QuerySession`,
   whose :class:`~repro.engine.session.QueryRuntime` holds the compile-once
   artifacts and the warm lazy-DFA matcher and builds the lane's inputs and
-  its evaluator, and whose checkout policy recycles the lane's buffer,
+  its evaluator, and whose buffer checkout (the one every front-end uses)
+  hands out and recycles the lane's buffer,
 * each in-flight evaluation is an ordinary
-  :class:`~repro.engine.session.StreamingRun` owned by its session, so
+  :class:`~repro.engine.session.StreamingRun` released to its session, so
   the release-guard machinery applies verbatim — a crashed or abandoned
   multi-run cannot leak a single buffer checkout,
 * strict safety (:func:`~repro.engine.session.check_safety`) holds per
@@ -30,20 +31,24 @@ module drives N lanes from one
 :class:`~repro.stream.shared.SharedPreprojector`.  The lane inputs and the
 evaluator are wired by the same runtime methods either way.
 
-An :class:`~repro.engine.session.AggregateAccountant` (via the
-:attr:`~repro.buffer.stats.BufferStats.accountant` hook) observes every
-lane's buffer, so :class:`MultiRunStats` reports the *combined* residency
-peak of the whole pass — the multi-query analogue of the paper's per-run
-buffer high watermark.
+An :class:`~repro.engine.session.AggregateAccountant`, handed to each
+member's checkout, observes every lane's buffer (via the
+:attr:`~repro.buffer.stats.BufferStats.accountant` hook) until the
+member's release settles it, so :class:`MultiRunStats` reports the
+*combined* residency peak of the whole pass — the multi-query analogue of
+the paper's per-run buffer high watermark.  The module settles nothing
+itself: a pass dropped without ``close()`` is settled when its runs'
+queued releases are reaped (before the next pass and at every telemetry
+read).
 
-Like :class:`~repro.engine.session.QuerySession`, a multi session is a
-single-client object; use :meth:`~repro.engine.pool.SessionPool.map_multi`
-to fan a multi-query workload over pool workers.
+Unlike a :class:`~repro.engine.session.QuerySession`, a multi session is a
+single-client object (its product guide and pass counter are unguarded);
+use :meth:`~repro.engine.pool.SessionPool.map_multi` to fan a multi-query
+workload over pool workers.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -111,28 +116,6 @@ class MultiRunStats:
         )
 
 
-def _queue_abandoned_settlement(
-    shared: SharedPreprojector,
-    runs: list[tuple[str, StreamingRun]],
-    results: dict[str, RunResult],
-    accountant: AggregateAccountant,
-) -> None:
-    """GC finalizer of a multi-run dropped without ``close()``.
-
-    The per-run release guards return the buffer checkouts on their own;
-    this settles the aggregate accounting for the lanes still open.  May
-    run inside the garbage collector, so it takes no locks: it detaches
-    each open lane's accountant (plain attribute store) and queues the
-    residual residency on the accountant's GIL-atomic pending list.
-    """
-    for index, (name, _run) in enumerate(runs):
-        if name in results:
-            continue  # completed runs settled at their StopIteration
-        stats = shared.lanes[index].buffer.stats
-        stats.accountant = None
-        accountant.pending.append((stats.live_nodes, stats.live_bytes))
-
-
 class MultiStreamingRun:
     """One in-flight shared pass, consumed as ``(name, token)`` pairs.
 
@@ -143,7 +126,8 @@ class MultiStreamingRun:
     :class:`~repro.engine.session.RunResult` lands in :attr:`results` and
     its lane is retired from the dispatch — the dynamic merged-signoff
     release.  :meth:`close` abandons every still-open per-query run; each
-    run's release guard returns its checkout exactly once, crash or not.
+    run's release guard returns its checkout exactly once, crash or not,
+    and the release settles the lane's residency out of the aggregate.
     The pass counts in its session's ``runs_completed`` when its last run
     completes.
     """
@@ -157,25 +141,10 @@ class MultiStreamingRun:
         self._session = session
         self._shared = shared
         self._runs = runs
-        self._accountant = accountant = session._accountant
         #: RunResult per query name, filled in as each run completes.
         self.results: dict[str, RunResult] = {}
         self._closed = False
         self._gen = self._generate()
-        # Safety net for multi-runs dropped without close(): the per-run
-        # guards free the checkouts themselves, but the aggregate
-        # accounting of the still-open lanes must settle too, or every
-        # later pass starts from a falsely elevated live base.  The
-        # finalizer reads `results` as it is at collection time.
-        self._finalizer = weakref.finalize(
-            self,
-            _queue_abandoned_settlement,
-            shared,
-            runs,
-            self.results,
-            accountant,
-        )
-        self._finalizer.atexit = False
 
     # -- iteration ------------------------------------------------------
 
@@ -197,11 +166,8 @@ class MultiStreamingRun:
                 # The run executed its last signOff and finalized: retire
                 # the lane so no further input is matched on its behalf
                 # (its buffer already went back to its session).
-                self.results[name] = result = run.result
+                self.results[name] = run.result
                 self._shared.retire(index)
-                self._accountant.settle(
-                    result.stats.live_nodes, result.stats.live_bytes
-                )
                 continue
             except BaseException:
                 # One query poisoned the pass: abandon the others so their
@@ -223,39 +189,25 @@ class MultiStreamingRun:
         if self._closed:
             return
         self._closed = True
-        self._finalizer.detach()  # settled synchronously below
         for index, (name, run) in enumerate(self._runs):
-            if name in self.results:
-                continue
-            buffer = self._shared.lanes[index].buffer
-            stats = buffer.stats
-            self._accountant.settle(stats.live_nodes, stats.live_bytes)
-            stats.accountant = None  # the buffer is leaving the pass
-            self._shared.retire(index)
-            run.close()
+            if name not in self.results:
+                self._shared.retire(index)
+                run.close()
 
     # -- telemetry ------------------------------------------------------
 
     @property
     def stats(self) -> MultiRunStats:
         """A snapshot of the shared-pass telemetry (stable once drained)."""
-        self._accountant.reap()
-        lane_tokens: dict[str, int] = {}
-        for index, (name, run) in enumerate(self._runs):
-            result = self.results.get(name)
-            stats = (
-                result.stats
-                if result is not None
-                else self._shared.lanes[index].buffer.stats
-            )
-            lane_tokens[name] = stats.tokens_read
+        self._session._reap_dropped_runs()
+        accountant = self._session._accountant
         return MultiRunStats(
             query_count=len(self._runs),
             tokens_read=self._shared.tokens_read,
-            lane_tokens=lane_tokens,
+            lane_tokens={name: run.tokens_consumed for name, run in self._runs},
             tokens_skipped=self._shared.tokens_skipped,
-            peak_live_nodes=self._accountant.peak_live_nodes,
-            peak_live_bytes=self._accountant.peak_live_bytes,
+            peak_live_nodes=accountant.peak_live_nodes,
+            peak_live_bytes=accountant.peak_live_bytes,
         )
 
 
@@ -271,8 +223,8 @@ class MultiQuerySession:
     :class:`~repro.engine.session.QueryRuntime`, adopted with its own
     options), or as a plain sequence (named ``q0..qN-1``).
 
-    Like :class:`~repro.engine.session.QuerySession`, a multi session is
-    single-client: runs are driven from one thread at a time.
+    Unlike a :class:`~repro.engine.session.QuerySession`, a multi session
+    is single-client: runs are driven from one thread at a time.
     """
 
     def __init__(
@@ -340,17 +292,16 @@ class MultiQuerySession:
         tokenization with bounded memory), or any token iterator; it is
         tokenized exactly once regardless of the number of queries.
         """
-        self._accountant.reap()  # settle GC-abandoned passes first
+        self._reap_dropped_runs()  # settle GC-abandoned passes first
         sessions = list(self.sessions.values())
-        # Check out one buffer per query up front; until a run's release
-        # guard exists the checkout is ours to return on failure.
+        # Check out one buffer per query up front, each observed by the
+        # aggregate; until a run's release guard exists the checkout is
+        # ours to return on failure.
         buffers: list = []
         runs: list[tuple[str, StreamingRun]] = []
         try:
             for session in sessions:
-                buffer = session._begin_streaming_run()
-                buffers.append(buffer)
-                buffer.stats.accountant = self._accountant
+                buffers.append(session._checkout_buffer(self._accountant))
             matchers = tuple(session.runtime.matcher() for session in sessions)
             lanes = [
                 ProjectionLane(**session.runtime.lane_inputs(buffer, matcher))
@@ -369,8 +320,7 @@ class MultiQuerySession:
             # Runs already constructed own their releases; checkouts past
             # that point must be handed back here or their sessions wedge.
             for session, buffer in zip(sessions[len(runs) :], buffers[len(runs) :]):
-                buffer.stats.accountant = None
-                session._on_run_closed(buffer)
+                session._release_buffer(buffer, completed=False)
             for _name, run in runs:
                 run.close()
             raise
@@ -415,11 +365,17 @@ class MultiQuerySession:
     @property
     def peak_live_nodes(self) -> int:
         """Aggregate buffered-node peak across all lanes, all passes."""
-        self._accountant.reap()
+        self._reap_dropped_runs()
         return self._accountant.peak_live_nodes
 
     @property
     def peak_live_bytes(self) -> int:
         """Aggregate modelled-byte peak across all lanes, all passes."""
-        self._accountant.reap()
+        self._reap_dropped_runs()
         return self._accountant.peak_live_bytes
+
+    def _reap_dropped_runs(self) -> None:
+        """Release the member runs dropped without ``close()``, settling
+        their lanes' residency out of the aggregate."""
+        for session in self.sessions.values():
+            session._reap_dropped_runs()

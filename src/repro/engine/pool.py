@@ -3,8 +3,9 @@
 The paper's argument — static analysis plus active garbage collection keep
 each run's buffer bounded — is exactly what makes *concurrent* serving
 viable: N in-flight evaluations cost N small buffers, not N documents.
-:class:`SessionPool` turns that into an API.  It splits the engine's state
-the way docs/CONCURRENCY.md describes:
+:class:`SessionPool` turns that into an API.  It is a
+:class:`~repro.engine.session.QuerySession`, so it splits the engine's
+state the way docs/CONCURRENCY.md describes:
 
 * **Shared static state** (computed once, immutable afterwards): the
   query's :class:`~repro.engine.session.QueryRuntime` — the
@@ -14,24 +15,23 @@ the way docs/CONCURRENCY.md describes:
   publish, and the only lock sits on the memoization miss path, so the hot
   hit path stays lock-free.  Every concurrent run warms the table for all
   the others.
-* **Pooled dynamic state** (exclusive per run): :class:`BufferTree`
-  instances move through a checkout pool with an owner assertion — a
-  buffer handed to two concurrent runs raises instead of corrupting — and
-  are recycled with warm tag tables between runs.  The matcher's per-run
-  dynamic state (the :class:`~repro.stream.matcher.MatchFrame` stack and
-  consumed-``[1]`` bookkeeping) lives inside each run's preprojector, so
-  it needs no pooling at all.
+* **Checked-out dynamic state** (exclusive per run): the session's one
+  buffer checkout, whose registry raises instead of handing one
+  :class:`~repro.buffer.buffer.BufferTree` to two runs, with up to
+  ``max_workers`` reset buffers kept warm between runs.  The matcher's
+  per-run dynamic state (the :class:`~repro.stream.matcher.MatchFrame`
+  stack and consumed-``[1]`` bookkeeping) lives inside each run's
+  preprojector, so it needs no pooling at all.
 
-An :class:`~repro.engine.session.AggregateAccountant` observes every
-checked-out buffer and maintains the *pool-wide* live residency and its
-peak (``PoolStats.peak_live_nodes``
-/ ``peak_live_bytes``) — the serving-layer analogue of the paper's
-per-run buffer high watermark.
-
-``submit``/``map`` run on a ``ThreadPoolExecutor`` sharing the compiled
-query and the warm DFA across workers.  Under CPython's GIL this does not
-parallelize the CPU work; its win is amortization (compile once, warm
-matcher/buffers) plus overlap with any I/O in tokenization.
+What the pool adds is an
+:class:`~repro.engine.session.AggregateAccountant` on every checkout,
+which maintains the *pool-wide* live residency and its peak
+(``PoolStats.peak_live_nodes`` / ``peak_live_bytes``) — the
+serving-layer analogue of the paper's per-run buffer high watermark — and
+an executor.  ``submit``/``map`` run on a ``ThreadPoolExecutor`` sharing
+the compiled query and the warm DFA across workers.  Under CPython's GIL
+this does not parallelize the CPU work; its win is amortization (compile
+once, warm matcher/buffers) plus overlap with any I/O in tokenization.
 
 ``map`` is ordered and backpressured: at most a bounded window of work is
 in flight, and the ``documents`` iterable is consumed lazily, so a pool
@@ -53,19 +53,14 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.analysis.compile import CompiledQuery
 from repro.analysis.schema import Schema
-from repro.buffer.buffer import BufferTree
 from repro.engine.session import (
     AggregateAccountant,
     EngineOptions,
     QueryRuntime,
+    QuerySession,
     RunResult,
-    StreamingRun,
-    drain_streaming_run,
-    reap_dropped_runs,
 )
 from repro.stream.matcher import StreamMatcher
-from repro.xmlio.serialize import TokenSink
-from repro.xmlio.tokens import Token
 
 __all__ = ["PoolResult", "PoolStats", "SessionPool"]
 
@@ -125,9 +120,9 @@ class PoolStats:
     peak_live_bytes: int
     buffers_created: int
     #: Buffers currently held by in-flight (or leaked) runs — the number
-    #: the serving layer's RunOwner invariant drives to zero after every
-    #: fault.  The snapshot reaps abandoned runs first, so a run whose
-    #: guard was discarded no longer counts here.
+    #: the serving layer's exactly-once release invariant drives to zero
+    #: after every fault.  The snapshot reaps abandoned runs first, so a
+    #: run whose guard was discarded no longer counts here.
     outstanding_checkouts: int = 0
 
     def summary(self) -> str:
@@ -142,15 +137,15 @@ class PoolStats:
         )
 
 
-class SessionPool:
+class SessionPool(QuerySession):
     """Thread-safe serving of one compiled query to N concurrent clients.
 
-    Construction compiles the query exactly once (or adopts a
-    :class:`~repro.analysis.compile.CompiledQuery`); afterwards any number
-    of threads may call :meth:`run`, :meth:`run_streaming`,
-    :meth:`submit` and :meth:`map` concurrently.  The pool owns a lazily
-    created executor for ``submit``/``map``; ``run``/``run_streaming``
-    execute on the calling thread and only use the checkout machinery.
+    A :class:`~repro.engine.session.QuerySession` — same construction,
+    same :meth:`run`/:meth:`run_streaming` on the calling thread, same
+    buffer checkout, with up to ``max_workers`` idle buffers kept warm —
+    that adds an :class:`~repro.engine.session.AggregateAccountant` to
+    every checkout (the pool-wide :attr:`stats`) and a lazily created
+    executor for :meth:`submit` and :meth:`map`.
 
     Use as a context manager (or call :meth:`close`) to shut the executor
     down; an unclosed pool's threads are daemonic only insofar as
@@ -167,51 +162,16 @@ class SessionPool:
     ) -> None:
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+        super().__init__(query, options, schema=schema, _idle_cap=max_workers)
         self.max_workers = max_workers
         # Kept for map_multi's member queries.
         self._schema = schema
-        # Shared static half (Figure 11's left side), including the warm
-        # matcher every run reads and warms.
-        self.runtime = QueryRuntime(query, options, schema=schema)
-        self.options = self.runtime.options
-        # Pooled dynamic half: idle buffers plus the checkout registry
-        # mapping id(buffer) -> (owning thread ident, the buffer itself).
-        # The registry IS the owner assertion: checking out a registered
-        # buffer raises.  Holding the buffer reference keeps a registered
-        # id from ever aliasing a recycled address, so a leaked checkout
-        # stays a diagnosable leak instead of a spurious violation.
-        self._lock = threading.Lock()
-        # Rides the same lock; notified whenever the checkout registry
-        # empties, so wait_idle() can block instead of spinning.
-        self._drain_cond = threading.Condition(self._lock)
-        self._idle_buffers: list[BufferTree] = []
-        self._checked_out: dict[int, tuple[int, BufferTree]] = {}
-        # Abandoned runs queue their release guards here from GC-safe
-        # contexts (see session._ReleaseGuard); reaped before checkouts,
-        # stats snapshots, and shutdown.
-        self._dropped_runs: list = []
-        self._buffers_created = 0
-        # Run lifecycle counters (the pool lock); residency is the
-        # accountant's, under its own lock, always taken second.
-        self._runs_started = 0
-        self._runs_completed = 0
-        self._runs_abandoned = 0
-        self._active_runs = 0
-        self._peak_active_runs = 0
         self._accountant = AggregateAccountant()
         self._executor: ThreadPoolExecutor | None = None
         # _closing rejects *new* submissions while close() drains the
         # queued work; _closed (set once the drain finished) additionally
         # rejects checkouts, i.e. direct run/run_streaming calls.
         self._closing = False
-        self._closed = False
-
-    # -- static artifacts ----------------------------------------------
-
-    @property
-    def compiled(self) -> CompiledQuery:
-        """The static-analysis artifacts, shared by every run."""
-        return self.runtime.compiled
 
     @property
     def matcher(self) -> StreamMatcher:
@@ -221,13 +181,13 @@ class SessionPool:
     @property
     def stats(self) -> PoolStats:
         """A snapshot of the pool-wide accounting."""
-        reap_dropped_runs(self)  # settle abandoned runs first
+        self._reap_dropped_runs()  # settle abandoned runs first
         acct = self._accountant
         with self._lock, acct._lock:
             return PoolStats(
                 max_workers=self.max_workers,
                 runs_started=self._runs_started,
-                runs_completed=self._runs_completed,
+                runs_completed=self.runs_completed,
                 runs_abandoned=self._runs_abandoned,
                 active_runs=self._active_runs,
                 peak_active_runs=self._peak_active_runs,
@@ -248,7 +208,7 @@ class SessionPool:
         flag that fails checkouts is only raised *after* the executor has
         drained, so every accepted future resolves normally.
         """
-        reap_dropped_runs(self)
+        self._reap_dropped_runs()
         with self._lock:
             if self._closed or self._closing:
                 return
@@ -275,7 +235,7 @@ class SessionPool:
             None if timeout is None else time.monotonic() + timeout
         )
         while True:
-            reap_dropped_runs(self)
+            self._reap_dropped_runs()
             with self._drain_cond:
                 if not self._checked_out:
                     return True
@@ -294,47 +254,6 @@ class SessionPool:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # -- direct (calling-thread) evaluation -----------------------------
-
-    def run_streaming(
-        self,
-        document: str | Path | Iterator[Token],
-        *,
-        on_event: Callable[[str], None] | None = None,
-        interrupt: Callable[[], None] | None = None,
-    ) -> StreamingRun:
-        """One incremental evaluation on the *calling* thread.
-
-        Checks out a buffer (exclusive) and borrows the shared matcher;
-        both are returned when the run is exhausted, closed, or dies.
-        Any number of threads — and any number of interleaved runs per
-        thread — may hold streaming runs from one pool simultaneously.
-        ``interrupt`` rides the input stream (see
-        :func:`~repro.engine.session.document_tokens`): it is called per
-        delivered token and aborts the run by raising.
-        """
-        buffer = self._checkout_buffer()
-        try:
-            return self.runtime.streaming_run(
-                self, document, buffer, on_event=on_event, interrupt=interrupt
-            )
-        except BaseException:
-            # No release guard exists until StreamingRun.__init__ ends,
-            # so a construction failure returns the checkout here.
-            self._release_buffer(buffer, completed=False)
-            raise
-
-    def run(
-        self,
-        document: str | Path | Iterator[Token],
-        *,
-        sink: TokenSink | None = None,
-        on_event: Callable[[str], None] | None = None,
-    ) -> RunResult:
-        """One buffered evaluation on the calling thread (full RunResult)."""
-        stream = self.run_streaming(document, on_event=on_event)
-        return drain_streaming_run(stream, sink)
 
     # -- pooled evaluation ----------------------------------------------
 
@@ -515,75 +434,8 @@ class SessionPool:
         """
         with self._lock:
             self._runs_started += started
-            self._runs_completed += completed
+            self.runs_completed += completed
             self._runs_abandoned += abandoned
-
-    # -- RunOwner callbacks (invoked by StreamingRun exactly once) -------
-
-    def _on_run_finished(self, buffer: BufferTree) -> None:
-        self._release_buffer(buffer, completed=True)
-
-    def _on_run_closed(self, buffer: BufferTree) -> None:
-        self._release_buffer(buffer, completed=False)
-
-    # -- checkout pool ----------------------------------------------------
-
-    def _checkout_buffer(self) -> BufferTree:
-        """An exclusive, fresh-state buffer, registered to this thread."""
-        reap_dropped_runs(self)  # abandoned checkouts free up first
-        ident = threading.get_ident()
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("SessionPool is closed")
-            buffer = (
-                self._idle_buffers.pop() if self._idle_buffers else None
-            )
-            if buffer is None:
-                buffer = self.runtime.new_buffer()
-                self._buffers_created += 1
-            key = id(buffer)
-            entry = self._checked_out.get(key)
-            if entry is not None:  # the owner assertion
-                raise RuntimeError(
-                    f"buffer checkout violation: buffer {key:#x} is "
-                    f"already held by thread {entry[0]}"
-                )
-            self._checked_out[key] = (ident, buffer)
-            self._runs_started += 1
-            self._active_runs += 1
-            if self._active_runs > self._peak_active_runs:
-                self._peak_active_runs = self._active_runs
-        buffer.stats.accountant = self._accountant
-        return buffer
-
-    def _release_buffer(self, buffer: BufferTree, *, completed: bool) -> None:
-        stats = buffer.stats
-        stats.accountant = None  # no further deltas from this run
-        with self._drain_cond:
-            entry = self._checked_out.pop(id(buffer), None)
-            if entry is not None:
-                self._active_runs -= 1
-                if completed:
-                    self._runs_completed += 1
-                else:
-                    self._runs_abandoned += 1
-                # An abandoned run's residue is discarded with its buffer;
-                # a completed strict run leaves nothing (Section 3).
-                self._accountant.settle(stats.live_nodes, stats.live_bytes)
-            if not self._checked_out:
-                self._drain_cond.notify_all()
-        if entry is None:
-            raise RuntimeError(
-                "buffer release violation: buffer was not checked out"
-            )
-        # Park with a warm tag table; abandoned runs' residue is cleared
-        # by reset() just the same, so recycling is always safe.  At most
-        # max_workers are parked: a burst of interleaved runs beyond that
-        # leaves its extra buffers to the garbage collector.
-        buffer.reset()
-        with self._lock:
-            if not self._closed and len(self._idle_buffers) < self.max_workers:
-                self._idle_buffers.append(buffer)
 
     # -- executor ---------------------------------------------------------
 

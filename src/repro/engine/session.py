@@ -5,11 +5,13 @@ normalization, projection-tree derivation, signOff insertion — from the
 streaming runtime.  :class:`QueryRuntime` makes that split first-class: it
 holds the static half, computed once per query (the compiled query, the
 lazy-DFA matcher, the chain guide, the evaluator gates), and wires the
-dynamic half of every run (buffer, lane, evaluator).  The three
-front-ends — :class:`QuerySession`, :class:`~repro.engine.pool.SessionPool`
-and :class:`~repro.engine.multi.MultiQuerySession` — build their runs
-through it and differ only in how they check buffers out.  Each run has
-fully isolated dynamic state; between runs the
+dynamic half of every run (buffer, lane, evaluator).  Every front-end
+builds its runs through it, and every run's buffer is checked out of, and
+released back to, a :class:`QuerySession`: the one checkout, thread-safe,
+whose release also settles the aggregate residency a
+:class:`~repro.engine.pool.SessionPool` or a
+:class:`~repro.engine.multi.MultiQuerySession` tracks.  Each run has fully
+isolated dynamic state; between runs the
 :class:`~repro.buffer.buffer.BufferTree` is recycled through
 :meth:`~repro.buffer.buffer.BufferTree.reset`, which keeps the tag symbol
 table (Section 6's integer tags) warm across documents that share a schema.
@@ -31,7 +33,7 @@ import time
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Callable, Iterator, Protocol
+from typing import IO, TYPE_CHECKING, Callable, Iterator
 
 from repro.analysis.compile import CompiledQuery, CompileOptions, compile_query
 from repro.analysis.schema import Schema
@@ -62,7 +64,6 @@ MATCHER_STATE_CAP = 4096
 __all__ = [
     "EngineOptions",
     "RunResult",
-    "RunOwner",
     "StreamingRun",
     "QueryRuntime",
     "QuerySession",
@@ -113,30 +114,11 @@ def _interruptible(
         yield token
 
 
-class RunOwner(Protocol):
-    """What a :class:`StreamingRun` needs from whoever started it.
-
-    Every front-end's checkout policy implements this: the run reads its
-    query's :class:`QueryRuntime` and calls back exactly once —
-    ``_on_run_finished`` when the output was exhausted and the buffer can
-    be recycled, or ``_on_run_closed`` when the run was abandoned or died
-    and the buffer must be discarded.
-    """
-
-    runtime: QueryRuntime
-    #: Guards of abandoned runs awaiting reclamation (see _ReleaseGuard).
-    _dropped_runs: list
-
-    def _on_run_finished(self, buffer: BufferTree) -> None: ...
-
-    def _on_run_closed(self, buffer: BufferTree) -> None: ...
-
-
 class _ReleaseGuard:
-    """One-shot release of a run's checkout back to its owner.
+    """One-shot release of a run's checkout back to its session.
 
     Shared between the :class:`StreamingRun` and a :mod:`weakref`
-    finalizer, so the owner is notified exactly once on whichever comes
+    finalizer, so the session is notified exactly once on whichever comes
     first: exhaustion, ``close()``, an in-run error — or garbage
     collection of a run that was abandoned (a never-started generator
     does not run its ``finally`` when closed or collected, which would
@@ -144,53 +126,33 @@ class _ReleaseGuard:
 
     The discard path may execute *inside the garbage collector* — cyclic
     GC can fire on any allocation, including one made while the very
-    thread triggering it holds the owner's (non-reentrant) lock — so
-    :meth:`discard` takes no locks at all: it enqueues the guard on the
-    owner's ``_dropped_runs`` list (a GIL-atomic append) and the owner
-    reclaims queued guards from a normal call context via
-    :func:`reap_dropped_runs`.  Only :meth:`finish` releases
-    synchronously; it runs exclusively inside ``next()`` on the run's
-    iterator, never inside GC.
+    thread triggering it holds the session's (non-reentrant) lock — so
+    :meth:`discard` takes no locks at all: it enqueues the buffer on the
+    session's ``_dropped_runs`` list (a GIL-atomic append) and the session
+    releases queued buffers from a normal call context
+    (:meth:`QuerySession._reap_dropped_runs`).  Only :meth:`finish`
+    releases synchronously; it runs exclusively inside ``next()`` on the
+    run's iterator, never inside GC.
     """
 
-    __slots__ = ("_owner", "_buffer", "_done")
+    __slots__ = ("_session", "_buffer", "_done")
 
-    def __init__(self, owner: RunOwner, buffer: BufferTree) -> None:
-        self._owner = owner
+    def __init__(self, session: QuerySession, buffer: BufferTree) -> None:
+        self._session = session
         self._buffer = buffer
         self._done = False
 
     def discard(self) -> None:
-        """Queue the release, buffer to be discarded.  GC-safe: no locks."""
+        """Queue the release of an abandoned run.  GC-safe: no locks."""
         if not self._done:
             self._done = True
-            self._owner._dropped_runs.append(self)
+            self._session._dropped_runs.append(self._buffer)
 
     def finish(self) -> None:
-        """Release with the buffer recycled (completed run)."""
+        """Release the checkout of a completed run."""
         if not self._done:
             self._done = True
-            self._owner._on_run_finished(self._buffer)
-
-    def _reclaim(self) -> None:
-        """Perform the queued release (normal call context only)."""
-        self._owner._on_run_closed(self._buffer)
-
-
-def reap_dropped_runs(owner: RunOwner) -> None:
-    """Reclaim checkouts of abandoned runs queued by their guards.
-
-    Owners call this at the top of their entry points, *before* taking
-    their own locks.  ``pop()`` is GIL-atomic, so concurrent reapers each
-    reclaim a disjoint set of guards.
-    """
-    dropped = owner._dropped_runs
-    while dropped:
-        try:
-            guard = dropped.pop()
-        except IndexError:  # another thread reaped the last one
-            break
-        guard._reclaim()
+            self._session._release_buffer(self._buffer, completed=True)
 
 
 @dataclass(frozen=True)
@@ -276,13 +238,16 @@ class StreamingRun:
 
     def __init__(
         self,
-        owner: RunOwner,
+        session: QuerySession,
         buffer: BufferTree,
         preprojector: StreamPreprojector,
         evaluator: Evaluator,
     ) -> None:
-        self._owner = owner
+        self._session = session
         self._buffer = buffer
+        # The run's own counters: its release resets the buffer, which may
+        # then serve another run.
+        self._stats = buffer.stats
         self._preprojector = preprojector
         # The clock starts at the first next() — construction is free and
         # consumer think-time before iterating must not count as latency.
@@ -298,10 +263,10 @@ class StreamingRun:
         # clean up (run_streaming releases the checkout directly).  No
         # statement may follow it, or an __init__ error after the guard
         # would race the caller's cleanup against the GC finalizer.
-        self._release = _ReleaseGuard(owner, buffer)
+        self._release = _ReleaseGuard(session, buffer)
         # Safety net for runs dropped without ever being iterated (their
         # generator's finally never runs): GC discards the checkout.  Not
-        # at interpreter exit — the owner may already be torn down then.
+        # at interpreter exit — the session may already be torn down then.
         self._finalizer = weakref.finalize(
             self, _ReleaseGuard.discard, self._release
         )
@@ -339,7 +304,7 @@ class StreamingRun:
         needed, which is how the earliness tests assert that first bytes
         leave before end-of-document.
         """
-        return self._buffer.stats.tokens_read
+        return self._stats.tokens_read
 
     # -- internals ------------------------------------------------------
 
@@ -354,10 +319,9 @@ class StreamingRun:
                 yield token
             completed = True
         finally:
-            # Exactly one owner callback per run: abandoned (close()) and
-            # crashed runs discard their buffer; completed runs recycle it.
-            # Without this an error mid-run would leak the checkout and
-            # wedge a pool worker's slot forever.
+            # Exactly one release per run, completed or abandoned (close()
+            # or a crash).  Without this an error mid-run would leak the
+            # checkout and wedge a pool worker's slot forever.
             if completed:
                 self._finalize()
             else:
@@ -366,17 +330,17 @@ class StreamingRun:
     def _finalize(self) -> None:
         assert self._started is not None  # finalize only runs via __next__
         elapsed = time.perf_counter() - self._started
-        runtime = self._owner.runtime
+        runtime = self._session.runtime
         try:
             check_safety(self._buffer, self._preprojector)
         except BaseException:
             # A failed safety check means the buffer state is suspect:
-            # release the checkout but do not recycle the buffer.
+            # release the checkout as abandoned (reset() clears it).
             self._release.discard()
             raise
         self.result = RunResult(
             output="",
-            stats=self._buffer.stats,
+            stats=self._stats,
             compiled=runtime.compiled,
             elapsed_seconds=elapsed,
             exhausted_input=self._preprojector.exhausted,
@@ -398,17 +362,13 @@ class AggregateAccountant:
 
     Residency that leaves in one piece — a run ending with nodes still
     buffered, an abandoned run's discarded buffer — is subtracted through
-    :meth:`settle`.  A settlement decided inside the garbage collector
-    (whose finalizers may fire while this very lock is held, the hazard
-    :class:`_ReleaseGuard` documents) only appends to :attr:`pending`, a
-    GIL-atomic list, and is applied from a normal call context by
-    :meth:`reap`.
+    :meth:`settle`, which only :meth:`QuerySession._release_buffer` calls
+    (from a normal call context, with the session's checkout lock held:
+    that lock is always taken first, this one second).
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        #: (nodes, bytes) settlements queued from GC contexts.
-        self.pending: list[tuple[int, int]] = []
         self.live_nodes = 0
         self.live_bytes = 0
         self.peak_live_nodes = 0
@@ -428,16 +388,6 @@ class AggregateAccountant:
         with self._lock:
             self.live_nodes -= nodes
             self.live_bytes -= cost
-
-    def reap(self) -> None:
-        """Apply the settlements queued from GC contexts (normal context)."""
-        pending = self.pending
-        while pending:
-            try:
-                nodes, cost = pending.pop()
-            except IndexError:  # another thread reaped the last entry
-                break
-            self.settle(nodes, cost)
 
 
 class QueryRuntime:
@@ -466,10 +416,11 @@ class QueryRuntime:
       options: the earliness output sites, the trusted single-match loops
       and the hash-join plan.
 
-    :class:`QuerySession`, :class:`~repro.engine.pool.SessionPool` and
-    :class:`~repro.engine.multi.MultiQuerySession` build every run here;
-    each keeps only its own buffer checkout policy.  Thread-safe: the
-    guides are swapped under one lock, everything else is immutable.
+    :class:`QuerySession` (and so :class:`~repro.engine.pool.SessionPool`)
+    and :class:`~repro.engine.multi.MultiQuerySession` build every run
+    here, with buffers checked out of a :class:`QuerySession`.
+    Thread-safe: the guides are swapped under one lock, everything else is
+    immutable.
     """
 
     def __init__(
@@ -548,7 +499,7 @@ class QueryRuntime:
     # -- run wiring --------------------------------------------------------
 
     def new_buffer(self) -> BufferTree:
-        """An empty buffer for a checkout policy's pool of buffers."""
+        """An empty buffer for a session's checkout registry."""
         return BufferTree(self.options.cost_model)
 
     def lane_inputs(self, buffer: BufferTree, matcher: StreamMatcher) -> dict:
@@ -583,7 +534,7 @@ class QueryRuntime:
 
     def streaming_run(
         self,
-        owner: RunOwner,
+        session: QuerySession,
         document: str | Path | Iterator[Token],
         buffer: BufferTree,
         *,
@@ -592,9 +543,9 @@ class QueryRuntime:
     ) -> StreamingRun:
         """Wire the dynamic half of Figure 11 for one single-query run.
 
-        ``owner`` has already checked out ``buffer`` (exclusive to this
-        run); the returned :class:`StreamingRun` reports back to it exactly
-        once.  A schema-certified query short-circuits the whole buffered
+        ``session`` has already checked out ``buffer`` (exclusive to this
+        run); the returned :class:`StreamingRun` releases it exactly once.
+        A schema-certified query short-circuits the whole buffered
         pipeline: the :class:`~repro.engine.direct.DirectEvaluator` streams
         input tokens straight to output with an empty buffer (and detects
         schema-violating nesting structurally, so the output stays
@@ -613,14 +564,14 @@ class QueryRuntime:
                 buffer.stats,
                 self.options.cost_model,
             )
-            return StreamingRun(owner, buffer, direct, direct)
+            return StreamingRun(session, buffer, direct, direct)
         matcher = self.matcher()
         preprojector = StreamPreprojector(
             document_tokens(document, guide=matcher, interrupt=interrupt),
             **self.lane_inputs(buffer, matcher),
         )
         evaluator = self.evaluator(buffer, preprojector, on_event)
-        return StreamingRun(owner, buffer, preprojector, evaluator)
+        return StreamingRun(session, buffer, preprojector, evaluator)
 
 
 class QuerySession:
@@ -630,10 +581,22 @@ class QuerySession:
     every :meth:`run`/:meth:`run_streaming` afterwards only spins up the
     dynamic half of Figure 11.  Per-run state is fully isolated — a
     session never leaks buffered nodes, roles, cancellations or cursor
-    positions from one document into the next — so interleaved and
-    repeated runs are safe.  The session's own part is its checkout
-    policy: one spare buffer and the single-client thread guard.
+    positions from one document into the next — so interleaved, repeated
+    and concurrent runs, from any number of threads, are safe.
+
+    The session owns the one buffer checkout every front-end uses: a
+    registry of checked-out buffers and a short idle list of reset ones
+    (at most ``_idle_cap``: 1 here, ``max_workers`` for a
+    :class:`~repro.engine.pool.SessionPool`).  A buffer checked out with
+    an :class:`AggregateAccountant` (a pool's own, or a
+    :class:`~repro.engine.multi.MultiQuerySession`'s for its lanes) has
+    its residual residency settled by the release.
     """
+
+    #: Observes every buffer this session checks out (a pool's aggregate).
+    _accountant: AggregateAccountant | None = None
+    #: A closed session refuses checkouts (only a pool closes).
+    _closed = False
 
     def __init__(
         self,
@@ -641,6 +604,7 @@ class QuerySession:
         options: EngineOptions | None = None,
         *,
         schema: Schema | None = None,
+        _idle_cap: int = 1,
     ) -> None:
         if isinstance(query, QueryRuntime):
             if options is not None and options != query.options:
@@ -651,20 +615,27 @@ class QuerySession:
         self.options = self.runtime.options
         #: Completed evaluations (streaming runs count on exhaustion).
         self.runs_completed = 0
-        # Guards the spare-buffer slot and the in-flight accounting below.
-        # A session is a single-client object: the lock makes the checkout
-        # bookkeeping race-free, and the owner-thread guard turns
-        # cross-thread concurrent use into a clear error instead of
-        # corrupted state (use SessionPool for that).
+        # The checkout registry maps id(buffer) -> (owning thread ident,
+        # the buffer itself) and IS the owner assertion: checking out a
+        # registered buffer raises.  Holding the buffer reference keeps a
+        # registered id from ever aliasing a recycled address, so a leaked
+        # checkout stays a diagnosable leak instead of a spurious violation.
         self._lock = threading.Lock()
-        self._active_streams = 0
-        self._stream_owner: int | None = None  # thread ident
-        # Abandoned runs queue their guards here from GC-safe contexts;
-        # reaped (outside the lock) at the next run_streaming.
-        self._dropped_runs: list = []
-        # One finished buffer is kept for reuse; reset() preserves its tag
-        # symbol table, so same-schema documents skip re-interning.
-        self._spare_buffer: BufferTree | None = None
+        # Rides the same lock; notified whenever the registry empties.
+        self._drain_cond = threading.Condition(self._lock)
+        self._checked_out: dict[int, tuple[int, BufferTree]] = {}
+        # Reset buffers kept for reuse; reset() preserves their tag symbol
+        # tables, so same-schema documents skip re-interning.
+        self._idle_buffers: list[BufferTree] = []
+        self._idle_cap = _idle_cap
+        # Buffers of abandoned runs, queued by their guards from GC-safe
+        # contexts and released by the next _reap_dropped_runs.
+        self._dropped_runs: list[BufferTree] = []
+        self._buffers_created = 0
+        self._runs_started = 0
+        self._runs_abandoned = 0
+        self._active_runs = 0
+        self._peak_active_runs = 0
 
     @property
     def compiled(self) -> CompiledQuery:
@@ -696,6 +667,7 @@ class QuerySession:
         document: str | Path | Iterator[Token],
         *,
         on_event: Callable[[str], None] | None = None,
+        interrupt: Callable[[], None] | None = None,
     ) -> StreamingRun:
         """Evaluate over ``document``, yielding output tokens incrementally.
 
@@ -704,80 +676,98 @@ class QuerySession:
         :func:`~repro.xmlio.filelexer.tokenize_file`), or any token
         iterator.  Returns a :class:`StreamingRun`; iterate it to drive the
         pipeline.  Nothing is read from the input before the first
-        ``next()``.
-
-        Interleaved streaming runs are supported *on one thread* (each run
-        gets its own buffer; the shared matcher's per-run state lives in
-        the run's frames).  Starting a streaming run from a second thread
-        while another thread's run is in flight raises ``RuntimeError``:
-        the session's checkout bookkeeping is single-client by design —
-        use :class:`~repro.engine.pool.SessionPool` for concurrent serving.
+        ``next()``.  Each run checks out its own buffer and reads the
+        shared matcher, so any number of threads — and any number of
+        interleaved runs per thread — may hold runs at once.
+        ``interrupt`` rides the input stream (see :func:`document_tokens`):
+        it is called per delivered token and aborts the run by raising.
         """
-        buffer = self._begin_streaming_run()
+        buffer = self._checkout_buffer()
         try:
-            return self.runtime.streaming_run(self, document, buffer, on_event=on_event)
+            return self.runtime.streaming_run(
+                self, document, buffer, on_event=on_event, interrupt=interrupt
+            )
         except BaseException:
-            # The run's release guard does not exist yet (it is the last
-            # thing StreamingRun.__init__ creates), so a construction
-            # failure must hand the checkout back here or the in-flight
-            # accounting would wedge every other thread forever.
-            self._on_run_closed(buffer)
+            # No release guard exists until StreamingRun.__init__ ends,
+            # so a construction failure returns the checkout here.
+            self._release_buffer(buffer, completed=False)
             raise
 
-    def _begin_streaming_run(self) -> BufferTree:
-        """Check out a buffer for one new streaming run.
+    # -- the buffer checkout ----------------------------------------------
 
-        The in-flight accounting half of :meth:`run_streaming`, shared
-        with the multi-query engine (which wires its own lane before
-        constructing the :class:`StreamingRun`).  The caller owns the
-        checkout until a run's release guard exists: a construction
-        failure in between must hand it back through
-        :meth:`_on_run_closed` or the session wedges.
+    def _checkout_buffer(
+        self, accountant: AggregateAccountant | None = None
+    ) -> BufferTree:
+        """An exclusive, fresh-state buffer, registered to this thread.
+
+        ``accountant`` (default: the session's own, if any) observes the
+        buffer until its release.  The caller owns the checkout until a
+        run's release guard exists: a failure in between must hand it back
+        through :meth:`_release_buffer`.
         """
-        reap_dropped_runs(self)  # settle abandoned runs before the lock
-        ident = threading.get_ident()
+        self._reap_dropped_runs()  # abandoned checkouts free up first
         with self._lock:
-            if self._active_streams and self._stream_owner != ident:
+            if self._closed:
+                raise RuntimeError("SessionPool is closed")
+            if self._idle_buffers:
+                buffer = self._idle_buffers.pop()
+            else:
+                buffer = self.runtime.new_buffer()
+                self._buffers_created += 1
+            key = id(buffer)
+            entry = self._checked_out.get(key)
+            if entry is not None:  # the owner assertion
                 raise RuntimeError(
-                    "QuerySession has a streaming run in flight on thread "
-                    f"{self._stream_owner} (this is thread {ident}); a "
-                    "session's buffer checkout is single-client.  "
-                    "For concurrent evaluation share one "
-                    "repro.engine.pool.SessionPool across threads, or serve "
-                    "clients over the network with `gcx serve` "
-                    "(repro.serve)."
+                    f"buffer checkout violation: buffer {key:#x} is "
+                    f"already held by thread {entry[0]}"
                 )
-            self._stream_owner = ident
-            self._active_streams += 1
-            # The recycled spare if there is one: concurrent (interleaved)
-            # runs each get their own buffer, and the spare slot only ever
-            # holds a buffer whose run has completed.
-            spare, self._spare_buffer = self._spare_buffer, None
-        return spare if spare is not None else self.runtime.new_buffer()
+            self._checked_out[key] = (threading.get_ident(), buffer)
+            self._runs_started += 1
+            self._active_runs += 1
+            if self._active_runs > self._peak_active_runs:
+                self._peak_active_runs = self._active_runs
+        buffer.stats.accountant = accountant or self._accountant
+        return buffer
 
-    # -- run-owner callbacks (invoked by StreamingRun exactly once) -----
-
-    def _on_run_finished(self, buffer: BufferTree) -> None:
+    def _release_buffer(self, buffer: BufferTree, *, completed: bool) -> None:
+        """Hand a checkout back: settle its residency, park it if room."""
+        stats = buffer.stats
+        accountant, stats.accountant = stats.accountant, None
         with self._lock:
-            self.runs_completed += 1
-            if self._spare_buffer is None:
-                # Reset before parking (not at acquire): a run that ended
-                # without exhausting its input may still hold buffered
-                # nodes, and an idle session must not pin a document
-                # subtree in memory.  reset() keeps the tag table warm.
-                self._spare_buffer = buffer.reset()
-            self._leave_stream_locked()
+            if self._checked_out.pop(id(buffer), None) is None:
+                raise RuntimeError(
+                    "buffer release violation: buffer was not checked out"
+                )
+            self._active_runs -= 1
+            if completed:
+                self.runs_completed += 1
+            else:
+                self._runs_abandoned += 1
+            if accountant is not None:
+                # An abandoned run's residue leaves with its buffer; a
+                # completed run leaves what it had not yet freed.
+                accountant.settle(stats.live_nodes, stats.live_bytes)
+            # Reset here, not at checkout: neither an idle buffer nor one
+            # a finished run still references may pin a document subtree.
+            buffer.reset()
+            if not self._closed and len(self._idle_buffers) < self._idle_cap:
+                self._idle_buffers.append(buffer)  # past the cap: left to GC
+            if not self._checked_out:
+                self._drain_cond.notify_all()
 
-    def _on_run_closed(self, buffer: BufferTree) -> None:
-        # Abandoned/crashed run: the partially filled buffer is discarded
-        # (not parked), but the in-flight accounting must still drop.
-        with self._lock:
-            self._leave_stream_locked()
+    def _reap_dropped_runs(self) -> None:
+        """Release the checkouts of abandoned runs queued by their guards.
 
-    def _leave_stream_locked(self) -> None:
-        self._active_streams -= 1
-        if self._active_streams == 0:
-            self._stream_owner = None
+        Called before taking the lock; ``pop()`` is GIL-atomic, so
+        concurrent reapers each release a disjoint set of buffers.
+        """
+        dropped = self._dropped_runs
+        while dropped:
+            try:
+                buffer = dropped.pop()
+            except IndexError:  # another thread reaped the last one
+                break
+            self._release_buffer(buffer, completed=False)
 
 
 def build_accumulators(

@@ -36,8 +36,8 @@ foresaw becomes ``internal-error`` and a ``repro.serve`` log record.
 Every abort path closes the frame producer, whose ``finally`` runs
 :class:`~repro.engine.session.StreamingRun`'s release guard, so a pass
 that dies — disconnect, timeout, poison document — returns its buffer
-checkout to the pool exactly once (the RunOwner invariant the
-fault-injection suite asserts).
+checkout to the pool exactly once (the invariant the fault-injection
+suite asserts).
 
 Shutdown is a graceful drain: stop accepting, let in-flight passes
 finish (bounded by ``drain_timeout``), tell idle connections ``bye``,

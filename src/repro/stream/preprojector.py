@@ -278,7 +278,6 @@ class ProjectionLane:
         Only called with a non-empty cancellation registry and a transition
         that assigns roles; ``tag`` is ``None`` for a text token.
         """
-        is_text = tag is None
         normal = dict(transition.normal_roles)
         aggregate = dict(transition.aggregate_roles)
         registry = self.buffer.cancellations
@@ -302,8 +301,8 @@ class ProjectionLane:
                     embeddings = self._first_witness_cancellations(
                         cancel, transition, depth
                     )
-                elif any(step.first for step in cancel.path):
-                    if nodes is None:
+                else:
+                    if nodes is None and any(step.first for step in cancel.path):
                         nodes = [
                             self._stack[i].buffer_node
                             for i in range(depth + 1, len(self._stack))
@@ -312,10 +311,8 @@ class ProjectionLane:
                         # step, which is not positional on this branch.
                         nodes.append(None)
                     embeddings = _count_embeddings_first_aware(
-                        cancel.path, sequence, nodes, region, is_text
+                        cancel.path, sequence, nodes, region
                     )
-                else:
-                    embeddings = _count_embeddings(cancel.path, sequence, is_text)
                 if embeddings <= 0:
                     continue
                 amount = min(available, embeddings)
@@ -359,20 +356,15 @@ class ProjectionLane:
                 sequence: list[str | None] = [
                     self._stack[i].tag for i in range(depth + 1, d + 1)
                 ]
+                nodes: list[BufferNode | None] | None = None
                 if any(step.first for step in prefix):
-                    nodes: list[BufferNode | None] = [
+                    nodes = [
                         self._stack[i].buffer_node
                         for i in range(depth + 1, d + 1)
                     ]
-                    total += _count_embeddings_first_aware(
-                        prefix,
-                        sequence,
-                        nodes,
-                        self._stack[depth].buffer_node,
-                        False,
-                    )
-                else:
-                    total += _count_embeddings(prefix, sequence, False)
+                total += _count_embeddings_first_aware(
+                    prefix, sequence, nodes, self._stack[depth].buffer_node
+                )
         return total
 
 
@@ -448,69 +440,26 @@ class StreamPreprojector:
             pass
 
 
-def _count_embeddings(path: Path, sequence: list[str | None], is_text: bool) -> int:
-    """Count embeddings of ``path`` into the tag sequence, the last step
-    binding the last element.  ``None`` entries denote text tokens.
-
-    ``[1]`` predicates are treated as unrestricted; over-counting is clamped
-    by the caller against the actually assigned instances.
-    """
-    n_steps, n_seq = len(path), len(sequence)
-    if n_steps == 0 or n_seq == 0:
-        return 0
-
-    def test_ok(step: Step, index: int) -> bool:
-        label = sequence[index]
-        if label is None:
-            return step.test.matches_text()
-        return step.test.matches_element(label)
-
-    from functools import lru_cache
-
-    @lru_cache(maxsize=None)
-    def count(i: int, j: int) -> int:
-        """Embeddings of path[i:] into sequence[j:] (last binds last)."""
-        if i == n_steps:
-            return 1 if j == n_seq else 0
-        step = path[i]
-        total = 0
-        if step.axis is Axis.CHILD:
-            if j < n_seq and test_ok(step, j):
-                total += count(i + 1, j + 1)
-        elif step.axis is Axis.DESCENDANT:
-            for k in range(j, n_seq):
-                if test_ok(step, k):
-                    total += count(i + 1, k + 1)
-        else:  # DOS: self or any descendant
-            for k in range(j - 1, n_seq):
-                if k == j - 1:
-                    # self: binds the same node the previous step bound
-                    total += count(i + 1, j)
-                elif test_ok(step, k):
-                    total += count(i + 1, k + 1)
-        return total
-
-    return count(0, 0)
-
-
 def _count_embeddings_first_aware(
     path: Path,
     sequence: list[str | None],
-    nodes: list[BufferNode | None],
+    nodes: list[BufferNode | None] | None,
     region_node: BufferNode | None,
-    is_text: bool,
 ) -> int:
-    """Like :func:`_count_embeddings`, but ``[1]`` steps are restricted.
+    """Count embeddings of ``path`` into the tag sequence, the last step
+    binding the last element.  ``None`` entries denote text tokens.
 
-    A ``[1]`` step may only bind the element its context recorded as the
+    Plain and ``[last()]`` steps are unrestricted; over-counting is
+    clamped by the caller against the actually assigned instances.  A
+    ``[1]`` step may only bind the element its context recorded as the
     first witness (``BufferNode.witnesses``).  Counting it as unrestricted
-    and clamping — sound for plain and ``[last()]`` steps, whose role
-    assignment is equally unrestricted — over-counts here, because the
-    clamp pool is shared across bindings: a region whose witness subtree
-    is already closed would eat role instances earned by an inner binding
-    whose chain is still live.  ``nodes[j]`` is the buffer node behind
-    ``sequence[j]`` (None for unpreserved elements and for the arriving
-    token, which only the final step can bind).
+    and clamping over-counts, because the clamp pool is shared across
+    bindings: a region whose witness subtree is already closed would eat
+    role instances earned by an inner binding whose chain is still live.
+    ``nodes[j]`` is the buffer node behind ``sequence[j]`` (None for
+    unpreserved elements and for the arriving token, which only the final
+    step can bind); a path without ``[1]`` steps never reads it, so it may
+    be ``None`` as a whole.
     """
     n_steps, n_seq = len(path), len(sequence)
     if n_steps == 0 or n_seq == 0:

@@ -12,9 +12,7 @@ Pushing all if-expressions down into for-loops guarantees this:
 * FOR pushes an if inside a for-loop body.
 
 DECOMP is applied once to every if-expression; the remaining rules are
-applied in arbitrary order until a fixpoint is reached.  The paper remarks
-that in practice only if-expressions containing a for-loop need processing;
-:func:`push_ifs_down` exposes that choice via ``only_over_loops``.
+applied in arbitrary order until a fixpoint is reached.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from repro.xquery.ast import (
     Query,
     Sequence,
     sequence_of,
-    walk,
 )
 from repro.xquery.normalize import map_expr
 
@@ -55,23 +52,12 @@ def decompose_ifs(expr: Expr) -> Expr:
     return map_expr(expr, transform)
 
 
-def _contains_for(expr: Expr) -> bool:
-    return any(isinstance(sub, ForLoop) for sub in walk(expr))
-
-
-def push_ifs_down(expr: Expr, *, only_over_loops: bool = False) -> Expr:
-    """Rewrite with DECOMP once, then SEQ/NC/FOR to a fixpoint.
-
-    With ``only_over_loops`` true, an if-expression is only decomposed when
-    a for-loop occurs below it (the paper's practical variant); otherwise
-    all if-expressions are pushed down fully.
-    """
+def push_ifs_down(expr: Expr) -> Expr:
+    """Rewrite with DECOMP once, then SEQ/NC/FOR to a fixpoint."""
     expr = decompose_ifs(expr)
 
     def transform(node: Expr) -> Expr:
         if not isinstance(node, IfThenElse) or not isinstance(node.else_branch, Empty):
-            return node
-        if only_over_loops and not _contains_for(node.then_branch):
             return node
         cond, body = node.cond, node.then_branch
         if isinstance(body, Sequence):  # rule SEQ
@@ -99,9 +85,9 @@ def push_ifs_down(expr: Expr, *, only_over_loops: bool = False) -> Expr:
     return _push(expr)
 
 
-def push_ifs_down_query(query: Query, *, only_over_loops: bool = False) -> Query:
+def push_ifs_down_query(query: Query) -> Query:
     """Apply :func:`push_ifs_down` to a whole query."""
-    root = push_ifs_down(query.root, only_over_loops=only_over_loops)
+    root = push_ifs_down(query.root)
     if not isinstance(root, Element):
         raise TypeError("if-pushdown must preserve the root constructor")
     return Query(root)

@@ -45,6 +45,13 @@ def all_queries() -> dict[str, str]:
     return {name: XMARK_QUERIES[name].adapted for name in QUERY_NAMES}
 
 
+def outstanding_checkouts(multi: MultiQuerySession) -> dict[str, int]:
+    """Checkouts each member session still holds, after reaping the
+    releases of abandoned runs."""
+    multi._reap_dropped_runs()
+    return {name: len(s._checked_out) for name, s in multi.sessions.items()}
+
+
 def solo_run(query, document, schema):
     return QuerySession(query, schema=schema).run(document)
 
@@ -205,8 +212,11 @@ class TestRunMachinery:
         for _count, _pair in zip(range(3), stream):
             pass
         stream.close()
-        # Every per-query session must be serviceable again immediately:
-        # a leaked checkout would raise the single-client guard instead.
+        # Every per-query session got its checkout back (the queued
+        # releases of the closed runs are reaped first).
+        assert outstanding_checkouts(session) == {"Q1": 0, "Q6": 0}
+        assert session._accountant.live_nodes == 0
+        # And every per-query session is serviceable again immediately.
         results = session.run(document)
         assert results["Q1"].output == golden("Q1")
         assert results["Q6"].output == golden("Q6")
@@ -235,6 +245,8 @@ class TestRunMachinery:
             for _pair in stream:
                 pass
         # All checkouts must be home again; the session still works.
+        assert outstanding_checkouts(session) == {"Q1": 0, "Q6": 0}
+        assert session._accountant.live_nodes == 0
         results = session.run(document)
         assert results["Q1"].output == golden("Q1")
         assert results["Q6"].output == golden("Q6")

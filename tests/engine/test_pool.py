@@ -91,6 +91,41 @@ class TestStress:
                 )
         assert outputs == expected
 
+    def test_one_session_shared_by_many_threads(self):
+        """STRESS_WORKERS threads stream from one QuerySession at once (a
+        barrier keeps every round's runs in flight together): output is
+        byte-identical to sequential runs and no checkout is left over."""
+        docs = serving_documents(STRESS_WORKERS * 4)
+        expected = [QuerySession(Q1).run(doc).output for doc in docs]
+        session = QuerySession(Q1)
+        barrier = threading.Barrier(STRESS_WORKERS)
+        outputs: dict[int, str] = {}
+
+        def client(first: int) -> None:
+            try:
+                for index in range(first, len(docs), STRESS_WORKERS):
+                    stream = session.run_streaming(docs[index])
+                    sink = StringSink()
+                    sink.write(next(stream))
+                    barrier.wait(timeout=30)
+                    for token in stream:
+                        sink.write(token)
+                    outputs[index] = sink.getvalue()
+            except BaseException:
+                barrier.abort()  # release the other clients at once
+                raise
+
+        with ThreadPoolExecutor(STRESS_WORKERS) as executor:
+            futures = [
+                executor.submit(client, first) for first in range(STRESS_WORKERS)
+            ]
+            errors = [future.exception() for future in futures]
+        assert errors == [None] * STRESS_WORKERS
+        assert [outputs[i] for i in range(len(docs))] == expected
+        session._reap_dropped_runs()
+        assert not session._checked_out
+        assert session.runs_completed == len(docs)
+
     def test_no_buffer_checked_out_twice_concurrently(self):
         """Instrumented checkout: ownership is exclusive at every instant."""
         docs = serving_documents(STRESS_DOCUMENTS)
@@ -572,62 +607,57 @@ class TestDrainHooks:
             assert pool.wait_idle(timeout=2.0) is True
 
 
-class TestSessionThreadGuard:
-    """Satellite regression: the latent single-slot race now raises."""
+class TestSessionAcrossThreads:
+    """A QuerySession checks out through the same registry as the pool, so
+    a second thread's run proceeds alongside the first."""
 
-    def test_second_thread_streaming_raises_runtime_error(self):
+    def test_second_thread_streaming_completes(self):
         doc = "<bib><book><title>T</title></book></bib>"
         session = QuerySession(INTRO_QUERY)
+        expected = GCXEngine().run(INTRO_QUERY, doc).output
         stream = session.run_streaming(doc)
         next(stream)  # checkout is live on this thread
-        caught: list[BaseException] = []
+        outputs: list[str] = []
 
         def second_client():
-            try:
-                session.run_streaming(doc)
-            except BaseException as error:  # noqa: BLE001 - assert below
-                caught.append(error)
+            outputs.append("".join(session.run_streaming(doc).serialized()))
 
         thread = threading.Thread(target=second_client)
         thread.start()
         thread.join()
-        assert len(caught) == 1
-        assert isinstance(caught[0], RuntimeError)
-        assert "SessionPool" in str(caught[0])
-        # The first run is untouched by the rejected attempt.
+        assert outputs == [expected]
+        # The first run is untouched by the second thread's run.
         rest = StringSink()
         for token in stream:
             rest.write(token)
         assert stream.result is not None
+        assert "<title>T</title>" in rest.getvalue()
+        assert session.runs_completed == 2
 
-    def test_cross_thread_error_message_contract(self):
-        """Satellite regression: the message names the owning and the
-        calling thread and points at both remediations — SessionPool for
-        in-process sharing and ``gcx serve`` for network clients."""
-        doc = "<bib><book><title>T</title></book></bib>"
+    def test_second_thread_run_leaves_the_first_untouched(self):
+        """Two threads, two documents, one session: each run has its own
+        buffer, and the first run's output and statistics are exactly
+        those of an undisturbed run."""
+        doc_a = "<bib><book><title>A</title></book><book/></bib>"
+        doc_b = "<bib><book><title>B</title></book></bib>"
+        alone = QuerySession(INTRO_QUERY).run(doc_a)
         session = QuerySession(INTRO_QUERY)
-        stream = session.run_streaming(doc)
-        next(stream)
-        owner_ident = threading.get_ident()
-        caught: list[tuple[RuntimeError, int]] = []
-
-        def second_client():
-            try:
-                session.run_streaming(doc)
-            except RuntimeError as error:
-                caught.append((error, threading.get_ident()))
-
-        thread = threading.Thread(target=second_client)
+        stream = session.run_streaming(doc_a)
+        head = StringSink()
+        head.write(next(stream))
+        second: list[str] = []
+        thread = threading.Thread(
+            target=lambda: second.append(session.run(doc_b).output)
+        )
         thread.start()
         thread.join()
-        ((error, caller_ident),) = caught
-        message = str(error)
-        assert str(owner_ident) in message
-        assert str(caller_ident) in message
-        assert "repro.engine.pool.SessionPool" in message
-        assert "gcx serve" in message
-        list(stream)  # the owning run still completes untouched
-        assert stream.result is not None
+        assert second == [GCXEngine().run(INTRO_QUERY, doc_b).output]
+        for token in stream:
+            head.write(token)
+        assert head.getvalue() == alone.output
+        assert stream.result.stats.hwm_nodes == alone.stats.hwm_nodes
+        assert stream.result.stats.tokens_read == alone.stats.tokens_read
+        assert not session._checked_out
 
     def test_same_thread_interleaving_still_allowed(self):
         doc_a = "<bib><book><title>A</title></book></bib>"

@@ -103,11 +103,10 @@ class TestRunManyIsolation:
     def test_buffer_recycled_with_warm_tag_table(self):
         session = QuerySession(INTRO_QUERY)
         session.run(DOC_A)
-        spare = session._spare_buffer
-        assert spare is not None
+        (spare,) = session._idle_buffers
         assert spare.tag_id("bib") == 0  # interned during the first run
         session.run(DOC_A)
-        assert session._spare_buffer is spare  # same buffer, reset and reused
+        assert session._idle_buffers == [spare]  # same buffer, reset and reused
 
     def test_interleaved_streaming_runs_are_isolated(self):
         """Two in-flight streaming runs on one session never share state."""
@@ -150,10 +149,21 @@ class TestStreamingOutput:
         assert first == StartTag("out")
         assert second == StartTag("title")
         assert source.consumed < total_tokens / 10
-        assert not session._spare_buffer  # run still in flight
+        assert not session._idle_buffers  # run still in flight
         rest = list(stream)
         assert source.consumed == total_tokens
         assert stream.result is not None
+
+    def test_tokens_consumed_survives_the_release(self):
+        """The released buffer is reset and recycled into the next run; a
+        finished run still reports its own input count."""
+        session = QuerySession(INTRO_QUERY)
+        stream = session.run_streaming(DOC_A)
+        list(stream)
+        consumed = stream.tokens_consumed
+        assert consumed == stream.result.stats.tokens_read > 0
+        session.run(DOC_B)  # the same buffer, recycled
+        assert stream.tokens_consumed == consumed
 
     def test_nothing_is_read_before_first_next(self):
         source = CountingTokens(tokenize(DOC_A))
@@ -243,8 +253,8 @@ class TestSinks:
         holds no document subtree in memory."""
         session = QuerySession(INTRO_QUERY)
         session.run(DOC_A)
-        assert session._spare_buffer is not None
-        assert session._spare_buffer.is_empty()
+        (spare,) = session._idle_buffers
+        assert spare.is_empty()
 
     def test_latency_clock_starts_at_first_next(self):
         import time as _time

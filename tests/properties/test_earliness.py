@@ -11,7 +11,7 @@ first-witness watermark), nesting, and sequences.
 
 from __future__ import annotations
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from repro.engine import EngineOptions, GCXEngine
 
@@ -28,6 +28,11 @@ CONSERVATIVE = EngineOptions(earliness=False)
 
 @FAST
 @given(document=documents(max_depth=5), query=queries())
+@example(  # an empty left operand must not drain the right one
+    document="<r><a/></r>",
+    query="<out>{for $v in $root/*/a return "
+    "if (($v/a = $root/a or true())) then $v else ()}</out>",
+)
 def test_earliness_matches_conservative_oracle(document, query):
     on = GCXEngine().run(query, document)
     off = GCXEngine(CONSERVATIVE).run(query, document)

@@ -94,19 +94,6 @@ class TestFixpoint:
         once = push_ifs_down(expr)
         assert push_ifs_down(once) == once
 
-    def test_only_over_loops_leaves_plain_ifs(self):
-        expr = parse_expr("if (exists $x/a) then <w>{$x/c}</w> else ()")
-        result = push_ifs_down(expr, only_over_loops=True)
-        # No for-loop below: the constructor stays inside the if.
-        assert isinstance(result, IfThenElse)
-
-    def test_only_over_loops_still_pushes_loops(self):
-        expr = parse_expr(
-            "if (exists $x/a) then for $y in $x/b return $y else ()"
-        )
-        result = push_ifs_down(expr, only_over_loops=True)
-        assert isinstance(result, ForLoop)
-
     def test_empty_then_collapses(self):
         expr = parse_expr("if (exists $x/a) then () else ()")
         assert push_ifs_down(expr) == Empty()
