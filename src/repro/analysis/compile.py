@@ -20,7 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.dependencies import Dependency, collect_dependencies
+from repro.analysis.dependencies import (
+    Dependency,
+    collect_dependencies,
+    copy_site_roles,
+)
 from repro.analysis.earliness import EarlinessPlan, compute_earliness
 from repro.analysis.early_updates import apply_early_updates
 from repro.analysis.joinplan import JoinPlan, compute_join_plan
@@ -87,6 +91,10 @@ class CompiledQuery:
     #: build/probe path.  Recomputed whenever ``rewritten`` is replaced
     #: (trusted-schema pruning), since the keys are ``id()``-based.
     joinplan: JoinPlan = field(default_factory=JoinPlan)
+    #: The dependency roles of the query's copy sites: outputs whose
+    #: subtree nothing else reads, which the buffered engine may receive
+    #: as one copied span (docs/PERFORMANCE.md, "The COPY row").
+    copy_roles: frozenset[Role] = frozenset()
 
     @property
     def certified_zero_buffer(self) -> bool:
@@ -143,6 +151,7 @@ def compile_query(
         )
     earliness = compute_earliness(rewritten, tree, constraints)
     joinplan = compute_join_plan(rewritten)
+    copy_roles = copy_site_roles(normalized, tree, first_witness=options.first_witness)
     return CompiledQuery(
         source=source,
         normalized=normalized,
@@ -157,4 +166,5 @@ def compile_query(
         constraints=constraints,
         earliness=earliness,
         joinplan=joinplan,
+        copy_roles=copy_roles,
     )

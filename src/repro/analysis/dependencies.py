@@ -17,11 +17,17 @@ role per distinct path is assigned exactly as often as it is removed.
 
 Multi-step condition paths are kept (the paper's XMark adaptation rewrites
 only for-loop paths to single steps); Definition 2 extends verbatim.
+
+The same walk, with repeats, finds the *copy sites*
+(:func:`copy_site_roles`): outputs whose ``…/dos::node()`` dependency
+nothing else reads, which the buffered engine may receive as one copied
+span (docs/PERFORMANCE.md, "The COPY row").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterator
 
 from repro.xquery.ast import (
     Aggregate,
@@ -43,7 +49,11 @@ from repro.xquery.ast import (
     Sequence,
     VarRef,
 )
-from repro.xquery.paths import Path, Step, dos_node
+from repro.xquery.paths import Path, Step, TestKind, dos_node
+
+if TYPE_CHECKING:
+    from repro.analysis.projection_tree import ProjectionTree
+    from repro.analysis.roles import Role
 
 __all__ = ["Dependency", "collect_dependencies"]
 
@@ -86,32 +96,79 @@ def collect_dependencies(
     """
     deps: dict[str, list[Dependency]] = {}
     seen: set[tuple[str, Path]] = set()
-
-    def record(var: str, path: Path) -> None:
+    for var, path, _output in _reads(query, first_witness):
         key = (var, path)
-        if key in seen:
-            return
-        seen.add(key)
-        deps.setdefault(var, []).append(Dependency(var, path))
+        if key not in seen:
+            seen.add(key)
+            deps.setdefault(var, []).append(Dependency(var, path))
+    return deps
 
-    def visit(expr: Expr) -> None:
+
+def copy_site_roles(
+    query: Query, tree: ProjectionTree, *, first_witness: bool = True
+) -> frozenset[Role]:
+    """The dependency roles of the query's *copy sites*.
+
+    A copy site is an output ``{$x}`` or ``{$x/p}`` whose subtree the query
+    only ever copies to output: its ``…/dos::node()`` dependency is read by
+    that one output and by no other expression (no condition, positional
+    aggregate, join key or second output — dependencies are de-duplicated,
+    so any of those would share the role), its target is an element (a
+    name or ``*`` test, not ``text()``) whose only projection-tree child is
+    the ``dos::node()`` node (no other path, accumulator chain or nested
+    loop reads below it), and no step on its path is positional.  The
+    matcher turns such a role into a COPY scan entry where nothing else can
+    match below the element (:meth:`repro.stream.matcher.StreamMatcher.miss`).
+    """
+    readers: dict[tuple[str, Path], int] = {}
+    outputs: set[tuple[str, Path]] = set()
+    for var, path, output in _reads(query, first_witness):
+        readers[(var, path)] = readers.get((var, path), 0) + 1
+        if output:
+            outputs.add((var, path))
+    roles: set[Role] = set()
+    for var, entries in tree.dep_entries.items():
+        for dep, role in entries:
+            if (var, dep.path) not in outputs or readers[(var, dep.path)] != 1:
+                continue
+            leaf = tree.role_nodes[role]
+            target = leaf.parent
+            if (
+                target is not None
+                and target.step is not None
+                and target.step.test.kind in (TestKind.TAG, TestKind.STAR)
+                and target.children == [leaf]
+                and not leaf.children
+                and not any(
+                    step.first or step.last for step in target.path_from_root()
+                )
+            ):
+                roles.add(role)
+    return frozenset(roles)
+
+
+def _reads(query: Query, first_witness: bool) -> Iterator[tuple[str, Path, bool]]:
+    """Every read Definition 2 turns into a dependency, in syntactic
+    order and with repeats: ``(var, path, read by an output)``."""
+
+    def visit(expr: Expr) -> Iterator[tuple[str, Path, bool]]:
         if isinstance(expr, Sequence):
             for item in expr.items:
-                visit(item)
+                yield from visit(item)
         elif isinstance(expr, Element):
-            visit(expr.body)
+            yield from visit(expr.body)
         elif isinstance(expr, ForLoop):
             if expr.where is not None:
-                visit_condition(expr.where)
-            visit(expr.body)
+                yield from visit_condition(expr.where)
+            yield from visit(expr.body)
         elif isinstance(expr, IfThenElse):
-            visit_condition(expr.cond)
-            visit(expr.then_branch)
-            visit(expr.else_branch)
+            yield from visit_condition(expr.cond)
+            yield from visit(expr.then_branch)
+            yield from visit(expr.else_branch)
         elif isinstance(expr, VarRef):
-            record(expr.var, (dos_node(),))
+            yield expr.var, (dos_node(),), True
         elif isinstance(expr, PathOutput):
-            record(expr.var, _with_subtree(expr.path))
+            yield expr.var, _with_subtree(expr.path), True
         elif isinstance(expr, Aggregate):
             # Accumulable aggregates contribute no dependencies at all: the
             # projection lane's O(1) accumulator replaces the subtree the
@@ -120,41 +177,40 @@ def collect_dependencies(
             # predicates fall outside the accumulator automaton, so they
             # keep the buffered subtree and are navigated at eval time.
             if any(step.first or step.last for step in expr.path):
-                record(expr.var, _with_subtree(expr.path))
+                yield expr.var, _with_subtree(expr.path), False
         elif isinstance(expr, SignOff):
             raise ValueError("dependencies must be collected before signOff insertion")
 
     def visit_condition(
         cond: Condition, rebind: dict[str, tuple[str, Path]] | None = None
-    ) -> None:
-        def resolved(var: str, path: Path) -> tuple[str, Path]:
+    ) -> Iterator[tuple[str, Path, bool]]:
+        def resolved(var: str, path: Path) -> tuple[str, Path, bool]:
             # Rebase paths on quantified variables onto the binding
             # source (transitively, for nested quantifiers).
             while rebind and var in rebind:
                 base_var, base_prefix = rebind[var]
                 var, path = base_var, base_prefix + path
-            return var, path
+            return var, path, False
 
         if isinstance(cond, Exists):
             path = _with_first_witness(cond.path) if first_witness else cond.path
-            record(*resolved(cond.var, path))
+            yield resolved(cond.var, path)
         elif isinstance(cond, Comparison):
             for operand in (cond.left, cond.right):
                 if isinstance(operand, PathOperand):
-                    record(*resolved(operand.var, _with_subtree(operand.path)))
+                    yield resolved(operand.var, _with_subtree(operand.path))
         elif isinstance(cond, Quantified):
             # The witness nodes themselves must be buffered (the evaluator
             # binds and navigates from them); every witness may need
             # testing, so no first-witness trimming on the binding path.
-            record(*resolved(cond.source, cond.path))
+            yield resolved(cond.source, cond.path)
             inner_rebind = dict(rebind) if rebind else {}
             inner_rebind[cond.var] = (cond.source, cond.path)
-            visit_condition(cond.inner, inner_rebind)
+            yield from visit_condition(cond.inner, inner_rebind)
         elif isinstance(cond, (And, Or)):
-            visit_condition(cond.left, rebind)
-            visit_condition(cond.right, rebind)
+            yield from visit_condition(cond.left, rebind)
+            yield from visit_condition(cond.right, rebind)
         elif isinstance(cond, Not):
-            visit_condition(cond.operand, rebind)
+            yield from visit_condition(cond.operand, rebind)
 
-    visit(query.root)
-    return deps
+    return visit(query.root)

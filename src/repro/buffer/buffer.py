@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from repro.analysis.roles import Role, UndefinedRoleRemoval
 from repro.buffer.node import BufferNode, DOC, ELEMENT, TEXT
 from repro.buffer.stats import BufferCostModel, BufferStats
-from repro.xmlio.tokens import EndTag, StartTag
+from repro.xmlio.tokens import EndTag, Span, StartTag
 from repro.xquery.paths import Path
 
 __all__ = ["BufferTree", "CancelEntry", "FREE_LIST_CAP"]
@@ -157,6 +157,14 @@ class BufferTree:
         self.stats.on_create(self.stats.model.text_cost(content))
         return node
 
+    def hold_span(self, node: BufferNode, span: Span) -> None:
+        """Make ``span`` the content of the just-finished element
+        ``node``: its subtree arrived whole (a copy site's COPY row), and
+        is charged as the text it holds."""
+        node.span = span
+        node.born_tokens = self.stats.tokens_read
+        self.stats.on_grow(self.stats.model.text_byte * len(span.text))
+
     def assign_roles(
         self,
         node: BufferNode,
@@ -253,6 +261,8 @@ class BufferTree:
                 child = child.next_sibling
             if member.kind == TEXT:
                 cost = model.text_cost(member.text)
+            elif member.span is not None:
+                cost = model.text_cost(member.span.text)
             else:
                 cost = model.element_cost()
             self.stats.on_purge(cost)
@@ -266,6 +276,7 @@ class BufferTree:
                 member.first_child = None
                 member.last_child = None
                 member.text = ""
+                member.span = None
                 free.append(member)
 
     # ------------------------------------------------------------------

@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from repro.analysis.roles import RoleSet
+from repro.xmlio.tokens import Span
 
 __all__ = ["BufferNode", "DOC", "ELEMENT", "TEXT"]
 
@@ -56,6 +57,7 @@ class BufferNode:
         "subtree_roles",
         "acc",
         "witnesses",
+        "span",
     )
 
     def __init__(self, kind: int, seq: int, tag_id: int = -1, text: str = "") -> None:
@@ -88,6 +90,9 @@ class BufferNode:
         # rebind the ``[1]`` to a later sibling once the true witness was
         # garbage-collected.
         self.witnesses: Optional[dict] = None
+        # An element whose subtree arrived whole (a copy site's COPY row)
+        # holds it here, as the one Span the evaluator emits for it.
+        self.span: Optional[Span] = None
 
     def reinit(self, kind: int, seq: int, tag_id: int = -1, text: str = "") -> None:
         """Reset a recycled node to freshly constructed state.
@@ -114,6 +119,7 @@ class BufferNode:
         self.subtree_roles = 0
         self.acc = None
         self.witnesses = None
+        self.span = None
 
     # -- structure -------------------------------------------------------
 

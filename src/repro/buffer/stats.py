@@ -89,9 +89,10 @@ class BufferStats:
     #: materialised (docs/PERFORMANCE.md, "Scan-time projection"); zero
     #: when the run was fed a pre-tokenised stream.
     tokens_skipped: int = 0
-    #: The part of ``tokens_read`` the schema-certified direct runner
-    #: received inside copied :class:`~repro.xmlio.tokens.Span` subtrees
-    #: (docs/PERFORMANCE.md, "The COPY row"); zero elsewhere.
+    #: The part of ``tokens_read`` received inside copied
+    #: :class:`~repro.xmlio.tokens.Span` subtrees (docs/PERFORMANCE.md,
+    #: "The COPY row"): a schema-certified direct run's matches, or a
+    #: buffered run's copy sites; zero on the shared pass.
     tokens_copied: int = 0
     #: Matches the scanner was to copy but delivered LIVE: a possible
     #: nested match, malformed or non-UTF-8 input, a subtree larger than
@@ -125,6 +126,13 @@ class BufferStats:
         self.live_bytes += cost
         if self.accountant is not None:
             self.accountant.on_delta(1, cost)
+        self._touch()
+
+    def on_grow(self, cost: int) -> None:
+        """A live node's content grew by ``cost`` bytes."""
+        self.live_bytes += cost
+        if self.accountant is not None:
+            self.accountant.on_delta(0, cost)
         self._touch()
 
     def on_purge(self, cost: int) -> None:

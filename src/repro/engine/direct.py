@@ -42,7 +42,7 @@ from typing import Iterator
 
 from repro.analysis.schema_constraints import ZeroBufferPlan
 from repro.buffer.stats import BufferCostModel, BufferStats
-from repro.xmlio.lexer import COPY, DEAD, scan_entry
+from repro.xmlio.lexer import COPY, DEAD, RunGuide, scan_entry
 from repro.xmlio.tokens import EndTag, Skipped, Span, StartTag, Token
 from repro.xquery.paths import Axis, Path, TestKind
 
@@ -254,25 +254,10 @@ class ChainGuide:
         with self._lock:
             return row.setdefault(name_key, entry)
 
-    def for_run(self, stats: BufferStats) -> "_RunGuide":
+    def for_run(self, stats: BufferStats) -> RunGuide:
         """The guide one run's tokenizer reads: these rows, with copy
         fallbacks counted on the run's statistics."""
-        return _RunGuide(self, stats)
-
-
-class _RunGuide:
-    """A run's view of a shared :class:`ChainGuide`."""
-
-    __slots__ = ("root_row", "miss", "_stats")
-
-    def __init__(self, guide: ChainGuide, stats: BufferStats) -> None:
-        self.root_row = guide.root_row
-        self.miss = guide.miss
-        self._stats = stats
-
-    def copy_failed(self) -> None:
-        """The scanner could not copy a COPY subtree and delivers it LIVE."""
-        self._stats.copy_fallbacks += 1
+        return RunGuide(self, stats)
 
 
 class DirectEvaluator:

@@ -592,7 +592,8 @@ class Evaluator:
     def _serialize(self, node: BufferNode) -> Iterator[Token]:
         """Emit ``node``'s subtree in document order.
 
-        A finished subtree is emitted as it stands; an unfinished one (an
+        A finished subtree is emitted as it stands — a copied one as its
+        one :class:`~repro.xmlio.tokens.Span` — and an unfinished one (an
         ``open`` site, see :meth:`_output_streaming`) in arrival order,
         pulling input whenever the walk reaches the end of what has
         arrived so far.  Iterative: ``current`` is the open element being
@@ -607,6 +608,13 @@ class Evaluator:
             return
         if node.kind == DOC:
             raise EvaluationError("cannot output the document node")
+        if node.span is not None:
+            # A copy site's subtree, buffered whole as the scanner copied
+            # it.  Rows (and so COPY entries) are only consulted below
+            # elements no aggregate role covers, so a copied element is
+            # never inside another output subtree: only here.
+            yield node.span
+            return
         # Interned per-tag tokens from the buffer's symbol table: emitting a
         # subtree allocates no tag objects (docs/PERFORMANCE.md).
         buffer = self.buffer

@@ -88,9 +88,9 @@ def document_tokens(
     reads bytes here scans under ``guide`` (the run's matcher, the shared
     pass's product guide, or a certified query's chain guide), so
     subtrees dead to the projection arrive as
-    :class:`~repro.xmlio.tokens.Skipped` counts (and copied matches as
-    :class:`~repro.xmlio.tokens.Span`); a pre-tokenised iterator is by
-    construction unguided.
+    :class:`~repro.xmlio.tokens.Skipped` counts (and the subtrees of
+    certified matches and copy sites as :class:`~repro.xmlio.tokens.Span`);
+    a pre-tokenised iterator is by construction unguided.
 
     ``interrupt`` is called once per delivered token (``Skipped`` and
     ``Span`` included) and aborts the pass by raising: it is how a consumer on another
@@ -470,9 +470,16 @@ class QueryRuntime:
         self._chain_guide: ChainGuide | None = None
 
     def _new_matcher(self) -> StreamMatcher:
+        # Copy sites reach the scanner as COPY rows, except in the flux-like
+        # baseline: a push-based engine streams every token of a binding
+        # through its buffers, which is what that baseline models.
+        copy_roles = self.compiled.copy_roles
+        if self.options.eager_leaf_bindings:
+            copy_roles = frozenset()
         return StreamMatcher(
             self.compiled.projection_tree,
             aggregate_roles=self.options.aggregate_roles,
+            copy_roles=copy_roles,
         )
 
     # -- the warm guides --------------------------------------------------
@@ -567,7 +574,9 @@ class QueryRuntime:
             return StreamingRun(session, buffer, direct, direct)
         matcher = self.matcher()
         preprojector = StreamPreprojector(
-            document_tokens(document, guide=matcher, interrupt=interrupt),
+            document_tokens(
+                document, guide=matcher.for_run(buffer.stats), interrupt=interrupt
+            ),
             **self.lane_inputs(buffer, matcher),
         )
         evaluator = self.evaluator(buffer, preprojector, on_event)

@@ -51,12 +51,26 @@ element is worth building at all.
   chains are projection-tree nodes) — derives from those multisets, so
   nothing in the subtree can concern the query.  It is the criterion the
   shared dispatcher already parks lanes on.
+* A transition with a non-empty ``cumulative`` gets a *descend row* when
+  every descendant step still to fire from it is a plain name test (not
+  ``*``, ``node()``, ``text()``, ``dos::node()`` or ``[1]``): a
+  descendant step can fire anywhere below and ``cumulative`` never
+  shrinks downwards, so such a row never says DEAD, but it keeps the
+  scanner looking tags up — text directly inside is dead per row as for
+  any row, and a copy site below can still be COPY.
 * LIVE ("stop consulting rows until this element closes") is a transition
-  that carries an aggregate role (the subtree is covered) or a non-empty
-  ``cumulative``: a descendant/dos step can still fire anywhere below, and
-  ``cumulative`` never shrinks downwards, so nothing below could be DEAD.
-  That includes every reachable descendant-axis ``[1]`` step, whose
+  that carries an aggregate role (the subtree is covered) and is not a
+  COPY entry, or a non-empty ``cumulative`` with any other descendant
+  step: a ``*``/``node()``/``text()`` step or an unrolled ``dos::node()``
+  can match almost anything below, and a descendant-axis ``[1]`` step's
   matching reads the whole frame stack rather than the state.
+* COPY is a transition whose aggregate roles all belong to *copy sites*
+  (:func:`repro.analysis.dependencies.copy_site_roles`: output sites
+  nothing else reads) while nothing else can match below it but elements
+  named like its own tag, which the scanner's copy bails on.  The whole
+  subtree then arrives as one :class:`~repro.xmlio.tokens.Span` that the
+  lane buffers as the element's content (or LIVE, when the scanner cannot
+  copy it).  Only a matcher built with ``copy_roles`` has COPY entries.
 * Rows are computed on **consumption-free** frames.  ``[1]`` consumption
   and pending cancellations only ever *remove* matches and roles, and
   child-axis contributions are monotone in the parent's matches, so the
@@ -86,8 +100,9 @@ from sys import intern
 
 from repro.analysis.projection_tree import ProjectionTree, PTNode
 from repro.analysis.roles import Role
-from repro.xmlio.lexer import DEAD, scan_entry
-from repro.xquery.paths import Axis, NodeTest
+from repro.buffer.stats import BufferStats
+from repro.xmlio.lexer import COPY, DEAD, RunGuide, scan_entry
+from repro.xquery.paths import Axis, NodeTest, TestKind
 
 __all__ = ["MatchFrame", "Transition", "StreamMatcher"]
 
@@ -123,16 +138,23 @@ class ScanRow(dict):
     What the guided tokenizer looks start tags up in while the element of
     this state is the innermost delivered one (see
     :func:`repro.xmlio.lexer.scan_entry` for the entry layout; a LIVE
-    child is an entry without a child row).  Filled lazily by
+    child is an entry without a child row, a COPY child one whose child
+    row is :data:`~repro.xmlio.lexer.COPY`).  Filled lazily by
     :meth:`StreamMatcher.miss`.
     """
 
-    __slots__ = ("matches", "text_dead")
+    __slots__ = ("matches", "cumulative", "text_dead")
 
-    def __init__(self, matches: dict[PTNode, int], text_dead: bool) -> None:
-        #: The state's exact matches (its ``cumulative`` is empty, or the
-        #: element would have been LIVE and had no row).
+    def __init__(
+        self,
+        matches: dict[PTNode, int],
+        cumulative: dict[PTNode, int],
+        text_dead: bool,
+    ) -> None:
+        #: The state's multisets (a ``cumulative`` whose descendant steps
+        #: are all plain name tests, or the element would have been LIVE).
         self.matches = matches
+        self.cumulative = cumulative
         #: Character data directly inside the element is dead.
         self.text_dead = text_dead
 
@@ -175,9 +197,18 @@ class StreamMatcher:
     tag)`` keys share one cached hash and pointer-compare on lookup.
     """
 
-    def __init__(self, tree: ProjectionTree, *, aggregate_roles: bool = True) -> None:
+    def __init__(
+        self,
+        tree: ProjectionTree,
+        *,
+        aggregate_roles: bool = True,
+        copy_roles: frozenset[Role] = frozenset(),
+    ) -> None:
         self.tree = tree
         self.aggregate = aggregate_roles
+        # The aggregate roles a COPY entry may carry (copy sites); copying
+        # rides the aggregate cover, so it needs aggregate roles.
+        self._copy_roles = copy_roles if aggregate_roles else frozenset()
         self._index: dict[int, int] = {}  # id(PTNode) -> small int (state keys)
         for i, node in enumerate(tree.all_nodes()):
             self._index[id(node)] = i
@@ -273,38 +304,76 @@ class StreamMatcher:
 
     def root_row(self) -> ScanRow | None:
         """The row for the document's top level; ``None`` when the root
-        itself is LIVE (a query rooted at ``//x`` can skip nothing)."""
+        itself is LIVE (a query rooted at ``//*`` can skip nothing)."""
         frame = self.initial_frame()
-        if frame.cumulative:
+        if not _descends(frame.cumulative):
             return None
-        return self._row(frame.state_id, frame.matches)
+        return self._row(frame.state_id, frame.matches, frame.cumulative)
 
     def miss(self, row: ScanRow, name_key: bytes) -> "tuple | object":
         """Decide, publish and return ``row``'s entry for a new tag."""
+        tag = intern(name_key.decode("utf-8"))
         transition = self._compute(
-            [MatchFrame(row.matches, {})],
-            tag=intern(name_key.decode("utf-8")),
-            is_text=False,
+            [MatchFrame(row.matches, row.cumulative)], tag=tag, is_text=False
         )
-        if transition.aggregate_roles or transition.cumulative:
+        if self._copies(transition, tag):
+            entry = scan_entry(name_key, COPY, row)
+        elif transition.aggregate_roles or not _descends(transition.cumulative):
             entry = scan_entry(name_key, None, row)  # LIVE
-        elif transition.matches or transition.structural:
-            child = self._row(transition.state_id, transition.matches)
+        elif transition.matches or transition.cumulative or transition.structural:
+            child = self._row(
+                transition.state_id, transition.matches, transition.cumulative
+            )
             entry = scan_entry(name_key, child, row, child.text_dead)
         else:
             entry = DEAD
         with self._lock:
             return row.setdefault(name_key, entry)
 
-    def _row(self, state_id: int, matches: dict[PTNode, int]) -> ScanRow:
+    def for_run(self, stats: BufferStats) -> RunGuide:
+        """The guide one run's tokenizer reads: these rows, with copy
+        fallbacks counted on the run's statistics."""
+        return RunGuide(self, stats)
+
+    def _copies(self, transition: Transition, tag: str) -> bool:
+        """Is the transition's element a COPY entry?  Its aggregate roles
+        all belong to copy sites, the nodes matched at it have no other
+        children (so nothing below is read but through the aggregate
+        cover, and the promotion guard cannot fire below), and no
+        descendant step can match below but one named like ``tag``."""
+        copy_roles = self._copy_roles
+        roles = transition.aggregate_roles
+        if not roles or not copy_roles.issuperset(roles):
+            return False
+        for node in transition.matches:
+            for child in node.children:
+                if child.step.axis is not Axis.DOS or child.role not in copy_roles:
+                    return False
+        for node in transition.cumulative:
+            for child in node.children:
+                step = child.step
+                if step.axis is Axis.DESCENDANT and (
+                    step.first
+                    or step.test.kind is not TestKind.TAG
+                    or step.test.name != tag
+                ):
+                    return False
+        return True
+
+    def _row(
+        self,
+        state_id: int,
+        matches: dict[PTNode, int],
+        cumulative: dict[PTNode, int],
+    ) -> ScanRow:
         row = self._rows.get(state_id)
         if row is None:
             text = self._compute(
-                [MatchFrame(matches, {})], tag=None, is_text=True
+                [MatchFrame(matches, cumulative)], tag=None, is_text=True
             )
             # No match means no role and no accumulator credit: text is
             # never structural, and under a row nothing is covered.
-            row = ScanRow(matches, not text.matches)
+            row = ScanRow(matches, cumulative, not text.matches)
             with self._lock:
                 row = self._rows.setdefault(state_id, row)
         return row
@@ -472,6 +541,22 @@ class StreamMatcher:
                 newly_consumed += 1
             consumed.add(node)
         return newly_consumed
+
+
+def _descends(cumulative: dict[PTNode, int]) -> bool:
+    """May a scan row track the elements below a state with this
+    ``cumulative``?  Yes when every descendant step that can still fire
+    is a plain name test without ``[1]`` (no ``dos::node()`` either)."""
+    for node in cumulative:
+        for child in node.children:
+            step = child.step
+            if step.axis is not Axis.CHILD and (
+                step.axis is not Axis.DESCENDANT
+                or step.first
+                or step.test.kind is not TestKind.TAG
+            ):
+                return False
+    return True
 
 
 def _desc_capable(node: PTNode) -> bool:

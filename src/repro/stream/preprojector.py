@@ -31,7 +31,7 @@ from repro.analysis.roles import Role
 from repro.buffer.buffer import BufferTree, CancelEntry
 from repro.buffer.node import BufferNode
 from repro.stream.matcher import MatchFrame, StreamMatcher, Transition
-from repro.xmlio.tokens import EndTag, Skipped, StartTag, Text, Token
+from repro.xmlio.tokens import EndTag, Skipped, Span, StartTag, Text, Token
 from repro.xquery.paths import Axis, Path, Step
 
 __all__ = ["ProjectionLane", "StreamPreprojector"]
@@ -53,12 +53,15 @@ class ProjectionLane:
     A lane owns all per-query dynamic state — the matcher frame stack, the
     open-element stack, consumed-``[1]`` counts and pending-cancellation
     application — but *not* the token source: the caller feeds it events
-    through :meth:`open`, :meth:`close`, :meth:`text`, :meth:`skipped` and
-    :meth:`finish_stream`.  One lane behind one tokenizer is the classic
-    single-query preprojector; N lanes behind one tokenizer is the shared
-    multi-query pass.  A guided tokenizer replaces runs of dead tokens with
-    :meth:`skipped` counts and an unguided stream never sends one, so the
-    lane takes either vocabulary and ends with the same counters.
+    through :meth:`open`, :meth:`close`, :meth:`text`, :meth:`skipped`,
+    :meth:`copied` and :meth:`finish_stream`.  One lane behind one
+    tokenizer is the classic single-query preprojector; N lanes behind one
+    tokenizer is the shared multi-query pass.  A guided tokenizer replaces
+    runs of dead tokens with :meth:`skipped` counts and an unguided stream
+    never sends one, so the lane takes either vocabulary and ends with the
+    same counters.  A copy site's subtree may also arrive whole, as one
+    :class:`~repro.xmlio.tokens.Span` for :meth:`copied` (single-query
+    runs only: the shared pass delivers such subtrees LIVE).
     """
 
     def __init__(
@@ -212,6 +215,24 @@ class ProjectionLane:
         stats.tokens_read += tokens
         stats.tokens_skipped += tokens
         stats.nodes_dropped += dropped
+
+    def copied(self, span: Span) -> None:
+        """A copy site's element arrived whole, as ``span`` (its matcher
+        row said COPY): open it as LIVE would, keep the span as the
+        buffered element's content — charged as text bytes — and close it.
+        Nothing below the element can concern the lane but through its
+        aggregate cover, so no other node is built for the subtree."""
+        self.open(span.start.tag)
+        node = self._stack[-1].buffer_node
+        stats = self.buffer.stats
+        stats.tokens_read += span.tokens - 2  # open() and close() count 2
+        stats.tokens_copied += span.tokens
+        self.close()
+        # The content arrives with the close tag.  An element holding an
+        # aggregate role survives its finish (the role covers it until the
+        # evaluator signs off); one without is dropped content and all.
+        if node is not None and node.aggregate_roles:
+            self.buffer.hold_span(node, span)
 
     def finish_stream(self) -> None:
         """The shared input ended: the lane's document node is finished."""
@@ -432,6 +453,8 @@ class StreamPreprojector:
             lane.text(token)
         elif isinstance(token, Skipped):
             lane.skipped(token.tokens, token.dropped)
+        elif isinstance(token, Span):
+            lane.copied(token)
         return True
 
     def run_to_completion(self) -> None:

@@ -49,7 +49,7 @@ import threading
 from typing import Iterator, Sequence
 
 from repro.stream.preprojector import ProjectionLane
-from repro.xmlio.lexer import DEAD, scan_entry
+from repro.xmlio.lexer import COPY, DEAD, scan_entry
 from repro.xmlio.tokens import EndTag, Skipped, StartTag, Text, Token
 
 __all__ = ["LaneView", "ProductGuide", "SharedPreprojector"]
@@ -74,7 +74,11 @@ class ProductGuide:
     lane needs every token below, so nothing can be skipped), and a lane
     that goes ``DEAD`` stays dead in the rows below until its element
     closes — :class:`SharedPreprojector`'s park rule, decided from the
-    lanes' static rows instead of their dynamic state.  Retirement stays
+    lanes' static rows instead of their dynamic state.  A lane's COPY
+    entry counts as LIVE: the pass never delivers a
+    :class:`~repro.xmlio.tokens.Span`, so every lane receives a copy
+    site's element token by token, as its own evaluator expects from the
+    shared stream.  Retirement stays
     dynamic and only makes the product conservative: a retired lane keeps
     vetoing skips it no longer needs.
 
@@ -106,7 +110,9 @@ class ProductGuide:
                 entry = part.get(name_key) or guide.miss(part, name_key)
             if entry is not DEAD:
                 entry = entry[5]
-                if entry is None:  # LIVE for this lane: LIVE for the pass
+                if entry is None or entry is COPY:
+                    # LIVE for this lane (a lane takes no copied span: its
+                    # element arrives LIVE here): LIVE for the pass.
                     children = None
                     break
             children.append(entry)

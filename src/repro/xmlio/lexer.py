@@ -40,9 +40,10 @@ kernel nor the careful reader knows which one asked:
   allocated, no text decoded and no tag interned: it leaves as one
   :class:`~repro.xmlio.tokens.Skipped` count.
 * *COPY* — a subtree the row calls :data:`COPY` (the schema-certified
-  runner's ``{$x}`` matches) leaves as one
-  :class:`~repro.xmlio.tokens.Span` of its canonical output text, or LIVE
-  when it cannot be copied.
+  runner's ``{$x}`` matches, and the buffered engine's copy sites: an
+  element whose subtree the query only ever copies to output) leaves as
+  one :class:`~repro.xmlio.tokens.Span` of its canonical output text, or
+  LIVE when it cannot be copied.
 
 The scanner fills token batches that ``next_token`` serves by index; a
 batch stops after a byte budget (:data:`BATCH_BYTES`, or the chunk size in
@@ -220,6 +221,24 @@ def scan_entry(
     )
 
 
+class RunGuide:
+    """One run's view of a scan guide shared by many runs (a session's
+    warm matcher or chain guide): the guide's rows, with the subtrees its
+    :data:`COPY` entries could not copy counted on the run's statistics
+    (``stats.copy_fallbacks``)."""
+
+    __slots__ = ("root_row", "miss", "_stats")
+
+    def __init__(self, guide: object, stats: object) -> None:
+        self.root_row = guide.root_row
+        self.miss = guide.miss
+        self._stats = stats
+
+    def copy_failed(self) -> None:
+        """The scanner could not copy a COPY subtree and delivers it LIVE."""
+        self._stats.copy_fallbacks += 1
+
+
 def _decode_name(name: bytes, position: int) -> str:
     """A tag or attribute name, decoded; an :class:`XMLSyntaxError` at
     ``position`` when it is not UTF-8.  Every route checks every name, a
@@ -360,7 +379,8 @@ class XMLTokenizer:
         Dead subtrees are validated like any other input but delivered as
         :class:`~repro.xmlio.tokens.Skipped` counts instead of tokens.  A
         guide whose entries say :data:`COPY` also provides
-        ``copy_failed()``, called whenever such a subtree arrives LIVE.
+        ``copy_failed()``, called whenever such a subtree arrives LIVE
+        (a :class:`RunGuide` counts them on one run's statistics).
     """
 
     def __init__(
@@ -715,7 +735,7 @@ class XMLTokenizer:
                             continue
                         child_row = entry[5]
                         if child_row is COPY:
-                            copied = self._emit_copy(pos, construct)
+                            copied = self._emit_copy(pos, construct, entry[4])
                             if copied >= 0:
                                 pos = copied
                                 continue
@@ -824,10 +844,11 @@ class XMLTokenizer:
                 self._out.append(Skipped(tokens, dropped, roots))
         return pos
 
-    def _emit_copy(self, pos: int, construct: tuple) -> int:
+    def _emit_copy(self, pos: int, construct: tuple, start: StartTag) -> int:
         """COPY: deliver the subtree at ``pos`` as one :class:`Span`, or bail.
 
-        Entered with the row of a start tag whose entry is :data:`COPY`.
+        Entered with the row of a start tag whose entry is :data:`COPY`
+        and the entry's interned ``start`` tag, which the span carries.
         What the serializer would write for the subtree's tokens is
         assembled as it is read: a run of input already in that canonical
         form stays one slice, and only what is not — ``<a></a>`` (written
@@ -931,7 +952,8 @@ class XMLTokenizer:
                     # The root closed: one span.
                     if run < pos:
                         put(data[run:pos])
-                    self._out.append(Span(b"".join(parts).decode("utf-8"), tokens))
+                    text = b"".join(parts).decode("utf-8")
+                    self._out.append(Span(text, tokens, start))
                     return pos
                 construct = read(pos, closers[-1])
         except (XMLSyntaxError, UnicodeDecodeError):

@@ -189,8 +189,9 @@ class Span(Token):
     """A whole output subtree the guided scanner copied as text.
 
     Emitted in place of a match subtree when the scan guide's row says
-    COPY (the schema-certified direct runner's ``{$x}`` bodies, see "The
-    COPY row" in docs/PERFORMANCE.md).  ``text`` is exactly what the
+    COPY (the schema-certified direct runner's ``{$x}`` bodies, and the
+    buffered engine's copy sites; see "The COPY row" in
+    docs/PERFORMANCE.md).  ``text`` is exactly what the
     serializers would have written for the replaced tokens — so a sink
     appends it verbatim, and ``str(span) == span.text`` — and
     ``tokenize(span.text)`` gives those tokens back.  The round trip is
@@ -205,6 +206,9 @@ class Span(Token):
     text: str
     #: Tokens the unguided stream would have delivered for the subtree.
     tokens: int
+    #: The interned start tag of the subtree's root: what a projection
+    #: lane steps its matcher with (the direct runner needs no tag).
+    start: StartTag
 
     def __str__(self) -> str:
         return self.text

@@ -24,6 +24,7 @@ import pytest
 from repro.engine import EngineOptions, GCXEngine
 from repro.xmark.queries import XMARK_QUERIES
 from repro.xmark.schema import xmark_schema
+from repro.xmlio.lexer import tokenize
 
 GOLDENS = Path(__file__).parent / "goldens"
 QUERY_NAMES = sorted(XMARK_QUERIES)
@@ -83,15 +84,17 @@ class TestKnownEarlyGoldens:
         """Q13 is structurally irreducible untrusted (a second <name>
         cannot be ruled out before </item>); the DTD's ``name`` content
         model proves at-most-once, so under ``trust_schema=True`` the loop
-        stops at the first match and the held tokens drop strictly."""
+        stops at the first match and the held tokens drop strictly.  (Fed
+        pre-tokenised: scanned bytes would copy each ``description``, a
+        copy site, whole — see ``tests/engine/test_buffered_copy.py``.)"""
         trusted = EngineOptions(trust_schema=True)
         trusted_off = EngineOptions(trust_schema=True, earliness=False)
         schema = xmark_schema()
         on = GCXEngine(trusted).run(
-            XMARK_QUERIES["Q13"].adapted, xmark_document, schema=schema
+            XMARK_QUERIES["Q13"].adapted, tokenize(xmark_document), schema=schema
         )
         off = GCXEngine(trusted_off).run(
-            XMARK_QUERIES["Q13"].adapted, xmark_document, schema=schema
+            XMARK_QUERIES["Q13"].adapted, tokenize(xmark_document), schema=schema
         )
         assert on.output == off.output
         assert off.stats.tokens_held_before_emit > 0
@@ -106,9 +109,12 @@ class TestKnownEarlyGoldens:
         assert on.stats.tokens_held_before_emit == off.stats.tokens_held_before_emit
 
     def test_q6_streams_through_the_open_watermark(self, xmark_document):
-        """Q6's verbatim-subtree output site streams in arrival order."""
-        on = GCXEngine().run(XMARK_QUERIES["Q6"].adapted, xmark_document)
-        off = GCXEngine(CONSERVATIVE).run(XMARK_QUERIES["Q6"].adapted, xmark_document)
+        """Q6's verbatim-subtree output site streams in arrival order
+        (token by token when fed pre-tokenised; scanned bytes copy each
+        item, a copy site, whole)."""
+        query = XMARK_QUERIES["Q6"].adapted
+        on = GCXEngine().run(query, tokenize(xmark_document))
+        off = GCXEngine(CONSERVATIVE).run(query, tokenize(xmark_document))
         assert on.output == off.output
         assert on.stats.early_flushes > 0
         assert on.stats.tokens_held_before_emit < off.stats.tokens_held_before_emit

@@ -285,19 +285,24 @@ class TestAggregateAccounting:
         )
 
     def test_abandoned_run_is_settled(self):
-        docs = serving_documents(4)
-        with SessionPool(Q1, max_workers=2) as pool:
-            stream = pool.run_streaming(docs[0])
-            next(stream)
+        """A run closed while it holds buffered nodes: its release settles
+        the residue, so the pool's live aggregate returns to zero."""
+        doc = (
+            "<bib><book><title>T1</title></book>"
+            "<book><price>9</price><title>T2</title></book></bib>"
+        )
+        with SessionPool(INTRO_QUERY, max_workers=2) as pool:
+            stream = pool.run_streaming(doc)
+            for _ in range(3):  # <r> wrapper, then buffered book content
+                next(stream)
+            assert pool.stats.live_nodes > 0 and pool.stats.live_bytes > 0
             stream.close()
             stats = pool.stats
             assert stats.runs_abandoned == 1
             assert stats.active_runs == 0
             assert stats.live_nodes == 0 and stats.live_bytes == 0
             # The pool still serves correctly afterwards.
-            assert pool.run(docs[0]).output == QuerySession(Q1).run(
-                docs[0]
-            ).output
+            assert pool.run(doc).output == QuerySession(INTRO_QUERY).run(doc).output
 
     def test_failed_run_releases_its_checkout(self):
         with SessionPool(INTRO_QUERY, max_workers=2) as pool:

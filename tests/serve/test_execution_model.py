@@ -176,14 +176,18 @@ class TestGuidedServePass:
             unguided = pool.run(tokenize(document)).stats
             guided = pool.run(document.encode("utf-8")).stats
         assert unguided.tokens_skipped == 0 < guided.tokens_skipped
+        # ``$x/c`` is a copy site: the guided pass buffers each <c> whole,
+        # so its buffer figures are its own; what it read is not.
+        assert unguided.tokens_copied == 0 < guided.tokens_copied
+        assert guided.tokens_read == unguided.tokens_read
         with ServerFixture() as fixture:
             with fixture.client() as client:
                 client.register("q", QUERY)
                 _fragments, done = client.eval_collect("q", document)
             assert done["type"] == "done", done
             assert done["tokens_read"] == unguided.tokens_read
-            assert done["hwm_bytes"] == unguided.hwm_bytes_modelled
-            assert done["hwm_nodes"] == unguided.hwm_nodes
+            assert done["hwm_bytes"] == guided.hwm_bytes_modelled
+            assert done["hwm_nodes"] == guided.hwm_nodes
             fixture.assert_clean()
 
     @pytest.mark.parametrize(

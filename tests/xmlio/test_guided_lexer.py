@@ -215,11 +215,20 @@ class TestXMarkCorpus:
         assert delivered < total / 10
 
     def test_descendant_rooted_query_skips_nothing(self, xmark_doc_small):
-        guide = matcher_for("<o>{for $i in //item return $i/name}</o>")
+        # ``//*`` can match anything below: LIVE from the root.
+        guide = matcher_for("<o>{for $i in //* return $i/name}</o>")
         assert guide.root_row() is None
         assert list(tokenize(xmark_doc_small, guide=guide)) == list(
             tokenize(xmark_doc_small)
         )
+        # ``//item`` is a plain name test: the root gets a descend row,
+        # which never says DEAD — only text no step matches is skipped,
+        # token by token, never a subtree.
+        guide = matcher_for("<o>{for $i in //item return $i/name}</o>")
+        assert guide.root_row() is not None
+        guided = list(tokenize(xmark_doc_small, guide=guide))
+        assert all(t.roots == 0 for t in guided if isinstance(t, Skipped))
+        assert merged(guided) == reference(tokenize(xmark_doc_small), guide)
 
 
 class TestRowsAreTheParkRuleAheadOfTheStream:
