@@ -70,12 +70,11 @@ def main() -> None:
     evaluator = Evaluator(
         compiled.rewritten,
         buffer,
-        preprojector,
-        sink,
+        preprojector.pull,
         aggregate_roles=False,
         on_event=lambda event: print(f"        {event}"),
     )
-    evaluator.run()
+    sink.write_all(evaluator.iter_tokens())
     print()
     print("final output:", sink.getvalue())
     print("final stats: ", buffer.stats.summary())

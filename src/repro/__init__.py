@@ -78,7 +78,6 @@ from repro.engine import (
 )
 from repro.xmark import TABLE1_QUERIES, XMARK_QUERIES, generate_xmark
 from repro.xmlio import (
-    GeneratorSink,
     StringSink,
     TokenSink,
     WriterSink,
@@ -117,7 +116,6 @@ __all__ = [
     "TokenSink",
     "StringSink",
     "WriterSink",
-    "GeneratorSink",
     "serialize_stream",
     "BufferStats",
     "BufferCostModel",

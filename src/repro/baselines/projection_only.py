@@ -24,7 +24,7 @@ from repro.engine.evaluator import Evaluator
 from repro.engine.gcx import RunResult
 from repro.stream.preprojector import StreamPreprojector
 from repro.xmlio.lexer import tokenize
-from repro.xmlio.serialize import StringSink
+from repro.xmlio.serialize import serialize_tokens
 from repro.xquery.ast import Query
 
 __all__ = ["ProjectionOnlyEngine"]
@@ -54,7 +54,7 @@ class ProjectionOnlyEngine:
     def run(self, query: Query | str | CompiledQuery, document: str) -> RunResult:
         compiled = query if isinstance(query, CompiledQuery) else self.compile(query)
         started = time.perf_counter()
-        buffer = BufferTree(self.cost_model, strict=False)
+        buffer = BufferTree(self.cost_model)
         preprojector = StreamPreprojector(
             tokenize(document),
             compiled.projection_tree,
@@ -64,19 +64,17 @@ class ProjectionOnlyEngine:
         # Phase 1 (the Galax way): project the complete input document.
         preprojector.run_to_completion()
         # Phase 2: evaluate on the projected buffer; nothing is purged.
-        sink = StringSink()
         evaluator = Evaluator(
             compiled.rewritten,
             buffer,
-            preprojector,
-            sink,
+            preprojector.pull,
             aggregate_roles=True,
             execute_signoffs=False,
         )
-        evaluator.run()
+        output = serialize_tokens(evaluator.iter_tokens())
         elapsed = time.perf_counter() - started
         return RunResult(
-            output=sink.getvalue(),
+            output=output,
             stats=buffer.stats,
             compiled=compiled,
             elapsed_seconds=elapsed,

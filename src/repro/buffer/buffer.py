@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.roles import Role, UndefinedRoleRemoval
+from repro.analysis.roles import Role
 from repro.buffer.node import BufferNode, DOC, ELEMENT, TEXT
 from repro.buffer.stats import BufferCostModel, BufferStats
 from repro.xmlio.tokens import EndTag, Span, StartTag
@@ -52,14 +52,8 @@ class CancelEntry:
 class BufferTree:
     """The single buffer of the GCX architecture (Figure 11)."""
 
-    def __init__(
-        self,
-        cost_model: BufferCostModel | None = None,
-        *,
-        strict: bool = True,
-    ) -> None:
+    def __init__(self, cost_model: BufferCostModel | None = None) -> None:
         self.stats = BufferStats(model=cost_model or BufferCostModel())
-        self.strict = strict
         self._seq = 0
         self.document = BufferNode(DOC, seq=self._next_seq())
         # Symbol table: tag names <-> integers (Section 6), plus interned
@@ -192,12 +186,7 @@ class BufferTree:
     ) -> None:
         """``rem_rho`` followed by the localized garbage collection."""
         role_set = node.aggregate_roles if aggregate else node.roles
-        try:
-            role_set.remove(role, count)
-        except UndefinedRoleRemoval:
-            if self.strict:
-                raise
-            return
+        role_set.remove(role, count)
         self._bump_subtree_roles(node, -count)
         self.stats.on_roles(-count)
         self.collect_from(node)
@@ -339,9 +328,6 @@ class BufferTree:
 
     def is_empty(self) -> bool:
         return self.document.first_child is None
-
-    def live_node_count(self) -> int:
-        return sum(1 for _ in self.document.descendants())
 
     def format_contents(self) -> list[str]:
         """Render buffer contents like Figure 2: ``tag{r2,r5}`` per node."""

@@ -29,9 +29,10 @@ copied by the scanner — so on a conforming document nothing is built
 but the few tokens above the matches (docs/PERFORMANCE.md, "The COPY
 row").
 
-:class:`DirectEvaluator` plays both dynamic-phase parts of Figure 11 at
-once — it is the evaluator (``iter_tokens``) *and* the preprojector stand-
-in (``exhausted``) of its :class:`~repro.engine.session.StreamingRun`.
+:class:`DirectEvaluator` is the evaluator of its
+:class:`~repro.engine.session.StreamingRun` and its own pump: it reads the
+token stream itself and, at its end, marks its (empty) buffer's document
+finished, the end-of-stream record every run reads.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from sys import intern
 from typing import Iterator
 
 from repro.analysis.schema_constraints import ZeroBufferPlan
-from repro.buffer.stats import BufferCostModel, BufferStats
+from repro.buffer.buffer import BufferTree
+from repro.buffer.stats import BufferStats
 from repro.xmlio.lexer import COPY, DEAD, RunGuide, scan_entry
 from repro.xmlio.tokens import EndTag, Skipped, Span, StartTag, Token
 from repro.xquery.paths import Axis, Path, TestKind
@@ -272,18 +274,16 @@ class DirectEvaluator:
     """
 
     def __init__(
-        self,
-        guide: ChainGuide,
-        tokens: Iterator[Token],
-        stats: BufferStats,
-        cost_model: BufferCostModel,
+        self, guide: ChainGuide, tokens: Iterator[Token], buffer: BufferTree
     ) -> None:
         self._guide = guide
         self._plan = guide.plan
         self._tokens = tokens
-        self._stats = stats
-        self._cost = cost_model
-        self.exhausted = False
+        # The buffer stays empty: it carries the run's statistics (whose
+        # cost model prices fallback captures) and its end-of-stream mark.
+        self._buffer = buffer
+        self._stats = buffer.stats
+        self._cost = buffer.stats.model
 
     # -- output ----------------------------------------------------------
 
@@ -392,6 +392,6 @@ class DirectEvaluator:
                     stats.on_create(cost)
                 yield from emitter.feed(token)
 
-        self.exhausted = True
+        self._buffer.finish_document()
         for tag in reversed(plan.envelope):
             yield EndTag(tag)

@@ -14,8 +14,13 @@ query semantics determine it, interleaved with the demand-driven input
 reads.  This is what makes the engine incremental on the output side — a
 consumer holding the generator receives the first result fragment as soon
 as the first match is decided, long before the input stream is exhausted.
-:meth:`Evaluator.run` is the buffered wrapper: it drains the generator into
-the configured :class:`~repro.xmlio.serialize.TokenSink`.
+It is the evaluator's only entry point: a caller that wants the result
+buffered drains it into a :class:`~repro.xmlio.serialize.TokenSink`.
+
+Input arrives through ``pull``, the step of the run's pump (a solo run's
+:class:`~repro.stream.preprojector.StreamPreprojector` or the shared
+pass's :class:`~repro.stream.shared.SharedPreprojector`): one token into
+the buffer, False once the input is exhausted.
 
 Iteration discipline: for-loop cursors remember the sequence number of the
 last binding and rescan from the context node, so garbage collection may
@@ -35,8 +40,6 @@ from repro.buffer.buffer import BufferTree
 from repro.buffer.node import BufferNode, DOC, ELEMENT, TEXT
 from repro.engine.relops.aggregates import accumulable, format_number
 from repro.engine.relops.hashjoin import JoinIndex, canon_key
-from repro.stream.preprojector import StreamPreprojector
-from repro.xmlio.serialize import TokenSink
 from repro.xmlio.tokens import EndTag, StartTag, Text, Token
 from repro.xquery.ast import (
     Aggregate,
@@ -85,8 +88,7 @@ class Evaluator:
         self,
         query: Query,
         buffer: BufferTree,
-        preprojector: StreamPreprojector,
-        sink: TokenSink | None = None,
+        pull: Callable[[], bool],
         *,
         aggregate_roles: bool = True,
         execute_signoffs: bool = True,
@@ -98,8 +100,7 @@ class Evaluator:
     ) -> None:
         self.query = query
         self.buffer = buffer
-        self.preprojector = preprojector
-        self.sink = sink
+        self._pull = pull
         self.aggregate = aggregate_roles
         self.execute_signoffs = execute_signoffs
         self.on_event = on_event
@@ -137,18 +138,6 @@ class Evaluator:
                     self._eager_loops.add(id(node))
 
     # ------------------------------------------------------------------
-
-    def run(self) -> None:
-        """Evaluate to completion, pushing every output token into the sink.
-
-        The buffered entry point: equivalent to draining
-        :meth:`iter_tokens`, kept for callers that provide a
-        :class:`~repro.xmlio.serialize.TokenSink` up front.
-        """
-        if self.sink is None:
-            raise EvaluationError("run() requires a sink; use iter_tokens()")
-        for token in self.iter_tokens():
-            self.sink.write(token)
 
     def iter_tokens(self) -> Iterator[Token]:
         """Lazily evaluate the query, yielding output tokens as decided.
@@ -487,7 +476,7 @@ class Evaluator:
                 return None  # witness recorded but dropped or collected
             if context.finished:
                 return None
-            if not self.preprojector.pull():
+            if not self._pull():
                 return None
 
     def _buffered_witness(
@@ -538,7 +527,7 @@ class Evaluator:
                 continue
             if context.finished:
                 return
-            if not self.preprojector.pull():
+            if not self._pull():
                 return
 
     def _iter_descendants(
@@ -553,7 +542,7 @@ class Evaluator:
                 continue
             if context.finished:
                 return
-            if not self.preprojector.pull():
+            if not self._pull():
                 return
 
     def _scan_descendants(
@@ -628,7 +617,7 @@ class Evaluator:
             nxt = current.first_child if last is None else last.next_sibling
             if nxt is None:
                 if not current.finished:
-                    if not self.preprojector.pull():
+                    if not self._pull():
                         raise EvaluationError(
                             "input exhausted with an unfinished node"
                         )
@@ -682,7 +671,7 @@ class Evaluator:
 
     def _ensure_finished(self, node: BufferNode) -> None:
         while not node.finished:
-            if not self.preprojector.pull():
+            if not self._pull():
                 # The final pull is the one that marks the document node
                 # finished, so re-check before declaring the input short.
                 if node.finished:

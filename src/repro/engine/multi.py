@@ -25,11 +25,12 @@ Everything per-query is reused from the single-query engine, unchanged:
   query: role accounting balances lane by lane.
 
 Single-query evaluation shares the lane but not the pump: a solo run's
-:class:`~repro.stream.preprojector.StreamPreprojector` is its own pump
-driving one :class:`~repro.stream.preprojector.ProjectionLane`, while this
-module drives N lanes from one
-:class:`~repro.stream.shared.SharedPreprojector`.  The lane inputs and the
-evaluator are wired by the same runtime methods either way.
+:class:`~repro.stream.preprojector.StreamPreprojector` is a
+:class:`~repro.stream.preprojector.ProjectionLane` that pumps itself,
+while this module drives N lanes from one
+:class:`~repro.stream.shared.SharedPreprojector`, whose ``pull`` every
+member's evaluator calls directly.  The lane inputs and the evaluator are
+wired by the same runtime methods either way.
 
 An :class:`~repro.engine.session.AggregateAccountant`, handed to each
 member's checkout, observes every lane's buffer (via the
@@ -312,10 +313,9 @@ class MultiQuerySession:
             shared = SharedPreprojector(
                 document_tokens(document, guide=self._guide), lanes
             )
-            for index, (name, session) in enumerate(self.sessions.items()):
-                buffer, view = buffers[index], shared.view(index)
-                evaluator = session.runtime.evaluator(buffer, view)
-                runs.append((name, StreamingRun(session, buffer, view, evaluator)))
+            for name, session, buffer in zip(self.names, sessions, buffers):
+                evaluator = session.runtime.evaluator(buffer, shared.pull)
+                runs.append((name, StreamingRun(session, buffer, evaluator)))
         except BaseException:
             # Runs already constructed own their releases; checkouts past
             # that point must be handed back here or their sessions wedge.

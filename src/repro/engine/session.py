@@ -54,7 +54,7 @@ from repro.xmlio.tokens import Token
 from repro.xquery.ast import Query
 
 if TYPE_CHECKING:  # the direct runner is imported by its first certified run
-    from repro.engine.direct import ChainGuide
+    from repro.engine.direct import ChainGuide, DirectEvaluator
 
 #: A shared matcher whose lazy DFA outgrows this many states is replaced
 #: with a fresh one on the next run (bounds session-lifetime memory; normal
@@ -89,8 +89,14 @@ def document_tokens(
     pass's product guide, or a certified query's chain guide), so
     subtrees dead to the projection arrive as
     :class:`~repro.xmlio.tokens.Skipped` counts (and the subtrees of
-    certified matches and copy sites as :class:`~repro.xmlio.tokens.Span`);
-    a pre-tokenised iterator is by construction unguided.
+    certified matches and copy sites as :class:`~repro.xmlio.tokens.Span`).
+
+    A pre-tokenised iterator is passed through as it is, so it must be
+    unguided or scanned under this run's own guide: a stream scanned under
+    another query's guide carries that query's ``Skipped`` and ``Span``
+    tokens, and a solo run fed them loses the subtrees they stand for
+    without an error (a shared pass refuses a ``Span`` with a
+    ``TypeError``).
 
     ``interrupt`` is called once per delivered token (``Skipped`` and
     ``Span`` included) and aborts the pass by raising: it is how a consumer on another
@@ -240,15 +246,13 @@ class StreamingRun:
         self,
         session: QuerySession,
         buffer: BufferTree,
-        preprojector: StreamPreprojector,
-        evaluator: Evaluator,
+        evaluator: "Evaluator | DirectEvaluator",
     ) -> None:
         self._session = session
         self._buffer = buffer
         # The run's own counters: its release resets the buffer, which may
         # then serve another run.
         self._stats = buffer.stats
-        self._preprojector = preprojector
         # The clock starts at the first next() — construction is free and
         # consumer think-time before iterating must not count as latency.
         self._started: float | None = None
@@ -332,7 +336,7 @@ class StreamingRun:
         elapsed = time.perf_counter() - self._started
         runtime = self._session.runtime
         try:
-            check_safety(self._buffer, self._preprojector)
+            check_safety(self._buffer)
         except BaseException:
             # A failed safety check means the buffer state is suspect:
             # release the checkout as abandoned (reset() clears it).
@@ -343,7 +347,7 @@ class StreamingRun:
             stats=self._stats,
             compiled=runtime.compiled,
             elapsed_seconds=elapsed,
-            exhausted_input=self._preprojector.exhausted,
+            exhausted_input=self._buffer.document.finished,
             first_output_seconds=self.first_output_seconds,
         )
         self._release.finish()
@@ -522,15 +526,15 @@ class QueryRuntime:
     def evaluator(
         self,
         buffer: BufferTree,
-        source: object,
+        pull: Callable[[], bool],
         on_event: Callable[[str], None] | None = None,
     ) -> Evaluator:
-        """One buffered run's evaluator, pulling input from ``source``."""
+        """One buffered run's evaluator, reading input through ``pull``
+        (its pump's)."""
         return Evaluator(
             self.compiled.rewritten,
             buffer,
-            source,
-            None,
+            pull,
             aggregate_roles=self.options.aggregate_roles,
             eager_leaf_bindings=self.options.eager_leaf_bindings,
             earliness_sites=self._earliness_sites,
@@ -568,10 +572,9 @@ class QueryRuntime:
                 document_tokens(
                     document, guide=guide.for_run(buffer.stats), interrupt=interrupt
                 ),
-                buffer.stats,
-                self.options.cost_model,
+                buffer,
             )
-            return StreamingRun(session, buffer, direct, direct)
+            return StreamingRun(session, buffer, direct)
         matcher = self.matcher()
         preprojector = StreamPreprojector(
             document_tokens(
@@ -579,8 +582,8 @@ class QueryRuntime:
             ),
             **self.lane_inputs(buffer, matcher),
         )
-        evaluator = self.evaluator(buffer, preprojector, on_event)
-        return StreamingRun(session, buffer, preprojector, evaluator)
+        evaluator = self.evaluator(buffer, preprojector.pull, on_event)
+        return StreamingRun(session, buffer, evaluator)
 
 
 class QuerySession:
@@ -820,7 +823,7 @@ def drain_streaming_run(
     return result
 
 
-def check_safety(buffer: BufferTree, preprojector: StreamPreprojector) -> None:
+def check_safety(buffer: BufferTree) -> None:
     """Section 3's safety requirements, checked dynamically after a run.
 
     A correct evaluation (1) removes every role instance it assigned —
@@ -841,7 +844,7 @@ def check_safety(buffer: BufferTree, preprojector: StreamPreprojector) -> None:
         )
     if buffer.document.subtree_roles != 0:
         raise AssertionError("buffer still carries roles after evaluation")
-    if preprojector.exhausted and not buffer.is_empty():
+    if buffer.document.finished and not buffer.is_empty():
         raise AssertionError(
             "input exhausted but the buffer is not empty:\n"
             + "\n".join(buffer.format_contents())

@@ -14,11 +14,11 @@ forever (see docs/ARCHITECTURE.md).
 Since the multi-query engine, the per-query state machine lives in
 :class:`ProjectionLane` — the match-frame stack, open-element bookkeeping,
 buffering decisions and cancellation handling for *one* query.
-:class:`StreamPreprojector` is the N=1 composition: one token pump driving
-one lane.  The shared-stream dispatcher
+:class:`StreamPreprojector` is the lane that pumps itself: it holds the
+token source, and its :meth:`~StreamPreprojector.pull` is the solo run's
+one input step.  The shared-stream dispatcher
 (:class:`~repro.stream.shared.SharedPreprojector`) drives N lanes from a
-pump of its own; a single-query run keeps this class's pump, so it shares
-the lane, not the pump, with the shared path.
+pump of its own, so the two paths share the lane, not the pump.
 """
 
 from __future__ import annotations
@@ -96,7 +96,6 @@ class ProjectionLane:
             self.matcher = matcher
         else:
             self.matcher = StreamMatcher(tree, aggregate_roles=aggregate_roles)
-        self.exhausted = False
         root_frame = self.matcher.initial_frame()
         self._stack: list[_OpenElement] = [
             _OpenElement("", root_frame, buffer.document, buffer.document)
@@ -235,8 +234,8 @@ class ProjectionLane:
             self.buffer.hold_span(node, span)
 
     def finish_stream(self) -> None:
-        """The shared input ended: the lane's document node is finished."""
-        self.exhausted = True
+        """The input ended: the lane's document node is finished — the one
+        record of end of stream a run reads."""
         self.buffer.finish_document()
 
     # ------------------------------------------------------------------
@@ -389,14 +388,13 @@ class ProjectionLane:
         return total
 
 
-class StreamPreprojector:
+class StreamPreprojector(ProjectionLane):
     """Incremental projection of a token stream into the buffer.
 
-    The N=1 composition of the shared-stream architecture: one token pump
-    (this class) driving one :class:`ProjectionLane`.  All matching,
-    buffering and cancellation behaviour lives in the lane; the public
-    surface (``pull``, ``run_to_completion``, ``exhausted``, ``depth``,
-    ``matcher``, ``buffer``) is unchanged from the single-query engine.
+    The single-query pump: a :class:`ProjectionLane` that also holds its
+    token source and feeds itself one token per :meth:`pull`.  The
+    evaluator drives it through that one method; end of input is recorded
+    on the buffer (``buffer.document.finished``), not here.
     """
 
     def __init__(
@@ -409,52 +407,37 @@ class StreamPreprojector:
         matcher: StreamMatcher | None = None,
         accumulators: "object | None" = None,
     ) -> None:
-        self._tokens = tokens
-        self._lane = ProjectionLane(
+        super().__init__(
             tree,
             buffer,
             aggregate_roles=aggregate_roles,
             matcher=matcher,
             accumulators=accumulators,
         )
-
-    @property
-    def buffer(self) -> BufferTree:
-        return self._lane.buffer
-
-    @property
-    def matcher(self) -> StreamMatcher:
-        return self._lane.matcher
-
-    @property
-    def exhausted(self) -> bool:
-        return self._lane.exhausted
-
-    @property
-    def depth(self) -> int:
-        return self._lane.depth
-
-    # ------------------------------------------------------------------
+        # Tokenizers deliver through ``__iter__`` only.
+        self._tokens = iter(tokens)
 
     def pull(self) -> bool:
-        """Process one input token.  Returns False when input is exhausted."""
-        lane = self._lane
-        if lane.exhausted:
-            return False
+        """Process one input token.  Returns False when input is exhausted
+        (and on every pull after that: a spent iterator stays spent)."""
         token = next(self._tokens, None)
         if token is None:
-            lane.finish_stream()
+            self.finish_stream()
             return False
         if isinstance(token, StartTag):
-            lane.open(token.tag)
+            self.open(token.tag)
         elif isinstance(token, EndTag):
-            lane.close()
+            self.close()
         elif isinstance(token, Text):
-            lane.text(token)
+            self.text(token)
         elif isinstance(token, Skipped):
-            lane.skipped(token.tokens, token.dropped)
+            self.skipped(token.tokens, token.dropped)
         elif isinstance(token, Span):
-            lane.copied(token)
+            self.copied(token)
+        else:
+            raise TypeError(
+                f"the preprojector takes no {type(token).__name__} token"
+            )
         return True
 
     def run_to_completion(self) -> None:

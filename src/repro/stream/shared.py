@@ -1,9 +1,10 @@
 """The shared-stream dispatcher: one token pass feeding N query lanes.
 
-Where :class:`~repro.stream.preprojector.StreamPreprojector` pumps one
-tokenizer into one :class:`~repro.stream.preprojector.ProjectionLane`,
-:class:`SharedPreprojector` pumps one tokenizer into N lanes — the
-runtime half of the multi-query engine (:mod:`repro.engine.multi`).  The
+Where :class:`~repro.stream.preprojector.StreamPreprojector` is one
+:class:`~repro.stream.preprojector.ProjectionLane` pumping its own
+tokenizer, :class:`SharedPreprojector` pumps one tokenizer into N lanes —
+the runtime half of the multi-query engine (:mod:`repro.engine.multi`),
+whose member evaluators all call its :meth:`~SharedPreprojector.pull`.  The
 document is tokenized exactly once (``tokens_read`` counts the single
 scan, the invariant the tests assert); each surviving token is
 routed to the subset of lanes that still care about it.
@@ -50,9 +51,9 @@ from typing import Iterator, Sequence
 
 from repro.stream.preprojector import ProjectionLane
 from repro.xmlio.lexer import COPY, DEAD, scan_entry
-from repro.xmlio.tokens import EndTag, Skipped, StartTag, Text, Token
+from repro.xmlio.tokens import EndTag, Skipped, Span, StartTag, Text, Token
 
-__all__ = ["LaneView", "ProductGuide", "SharedPreprojector"]
+__all__ = ["ProductGuide", "SharedPreprojector"]
 
 
 class _ProductRow(dict):
@@ -137,12 +138,17 @@ class ProductGuide:
 
 
 class SharedPreprojector:
-    """One tokenizer scan dispatched to N projection lanes."""
+    """One tokenizer scan dispatched to N projection lanes.
+
+    Every member query's evaluator pulls this pump directly: a pull by any
+    of them reads one token and dispatches it to every active lane, so
+    demand from any query fills all queries' buffers.
+    """
 
     def __init__(self, tokens: Iterator[Token], lanes: list[ProjectionLane]) -> None:
         if not lanes:
             raise ValueError("SharedPreprojector needs at least one lane")
-        self._tokens = tokens
+        self._tokens = iter(tokens)
         self.lanes = list(lanes)
         #: Tokens read from the shared stream — the single-scan count; the
         #: whole point of the subsystem is that this stays one document
@@ -187,10 +193,6 @@ class SharedPreprojector:
             self._active.remove(index)
         except ValueError:
             pass  # parked (or already retired): the park pop skips it
-
-    def view(self, index: int) -> "LaneView":
-        """The per-query facade evaluators drive their demand through."""
-        return LaneView(self, self.lanes[index])
 
     # -- the shared pump -------------------------------------------------
 
@@ -254,42 +256,21 @@ class SharedPreprojector:
             roots = token.roots
             for index in active:
                 lanes[index].skipped(2 * roots, roots)
+        elif isinstance(token, Span):
+            # The product guide makes every COPY row LIVE, so a span here
+            # was scanned under another guide (one query's own matcher):
+            # its subtree cannot be dispatched token by token.
+            raise TypeError(
+                f"a shared pass takes no Span (a copied <{token.start.tag}>): "
+                "feed it the document itself, or an unguided token stream"
+            )
+        else:
+            raise TypeError(
+                f"the shared preprojector takes no {type(token).__name__} token"
+            )
         return True
 
     def run_to_completion(self) -> None:
         """Drain the shared stream (all lanes projected in one scan)."""
         while self.pull():
             pass
-
-
-class LaneView:
-    """One query's demand-driven view of the shared pass.
-
-    Implements the slice of the preprojector interface the evaluator and
-    the run machinery use — ``pull()`` and ``exhausted`` — so a per-query
-    :class:`~repro.engine.evaluator.Evaluator` drives the *shared* pump
-    without knowing other queries exist.  A pull advances the shared
-    stream by one token, which is dispatched to every live lane: demand
-    from any query fills all queries' buffers.
-    """
-
-    __slots__ = ("_shared", "_lane")
-
-    def __init__(self, shared: SharedPreprojector, lane: ProjectionLane) -> None:
-        self._shared = shared
-        self._lane = lane
-
-    @property
-    def buffer(self):
-        return self._lane.buffer
-
-    @property
-    def exhausted(self) -> bool:
-        return self._lane.exhausted
-
-    @property
-    def depth(self) -> int:
-        return self._lane.depth
-
-    def pull(self) -> bool:
-        return self._shared.pull()

@@ -8,7 +8,6 @@ unranked ordered labeled trees, plus the document projection of Definition 1.
 from repro.xmlio.filelexer import FileTokenizer, tokenize_file
 from repro.xmlio.lexer import XMLSyntaxError, XMLTokenizer, tokenize
 from repro.xmlio.serialize import (
-    GeneratorSink,
     IncrementalSerializer,
     StringSink,
     TokenSink,
@@ -58,7 +57,6 @@ __all__ = [
     "TokenSink",
     "StringSink",
     "WriterSink",
-    "GeneratorSink",
     "XMLNode",
     "ElementNode",
     "TextNode",

@@ -45,7 +45,7 @@ kernel nor the careful reader knows which one asked:
   one :class:`~repro.xmlio.tokens.Span` of its canonical output text, or
   LIVE when it cannot be copied.
 
-The scanner fills token batches that ``next_token`` serves by index; a
+The scanner fills token batches that iteration hands out whole; a
 batch stops after a byte budget (:data:`BATCH_BYTES`, or the chunk size in
 file mode, so the file-backed subclass can compact its window between
 batches).  ``str`` input is encoded once up front and file input is
@@ -408,11 +408,10 @@ class XMLTokenizer:
         self._dead_depth = 0
         self._seen_root = False
         # Batch machinery: tokens are scanned a batch at a time into
-        # ``_out`` and served by index.  ``_batch_bytes`` caps how far one
+        # ``_out`` and delivered from there.  ``_batch_bytes`` caps how far one
         # batch may advance (the file subclass sets it to the chunk size so
         # compaction keeps up with scanning).
         self._out: list[Token] = []
-        self._out_pos = 0
         self._batch_bytes = BATCH_BYTES
         self._error: XMLSyntaxError | None = None
         # The tokenizer's own row (nothing to skip), keyed by the
@@ -438,54 +437,16 @@ class XMLTokenizer:
         """Hook run before scanning a batch (the file subclass compacts)."""
 
     def __iter__(self) -> Iterator[Token]:
-        # Iteration bypasses per-token method dispatch entirely: the
-        # generator marks each batch served and delegates to the list
-        # iterator, so the steady-state cost of one token is a generator
-        # resume plus a list-iterator step.  Mixing ``next_token()`` calls
-        # *into* an in-progress iteration is not supported (the engine
-        # drives one or the other, never both).
-        out = self._out
-        pos = self._out_pos
-        while pos < len(out):
-            # Leftovers from earlier ``next_token()`` pulls, served first.
-            self._out_pos = pos + 1
-            yield out[pos]
-            pos = self._out_pos
+        # The one delivery protocol.  It bypasses per-token method dispatch
+        # entirely: each batch is handed to the list iterator, so the
+        # steady-state cost of one token is a generator resume plus a
+        # list-iterator step.
         while True:
             if not self._fill():
                 if self._error is not None:
                     raise self._error
                 return
-            self._out_pos = len(self._out)
             yield from self._out
-
-    def __next__(self) -> Token:
-        # Token-at-a-time protocol for direct (non-``__iter__``) callers.
-        out = self._out
-        pos = self._out_pos
-        if pos < len(out):
-            self._out_pos = pos + 1
-            return out[pos]
-        token = self.next_token()
-        if token is None:
-            raise StopIteration
-        return token
-
-    def next_token(self) -> Token | None:
-        """Return the next token, or ``None`` when the stream is exhausted."""
-        out = self._out
-        pos = self._out_pos
-        if pos < len(out):
-            self._out_pos = pos + 1
-            return out[pos]
-        while True:
-            if not self._fill():
-                if self._error is not None:
-                    raise self._error
-                return None
-            if self._out:
-                self._out_pos = 1
-                return self._out[0]
 
     # ------------------------------------------------------------------
     # the reader: the kernel, and the careful path behind it
@@ -698,7 +659,6 @@ class XMLTokenizer:
         self._before_batch()
         out = self._out
         out.clear()
-        self._out_pos = 0
         append = out.append
         pos = self._pos
         limit = pos + self._batch_bytes

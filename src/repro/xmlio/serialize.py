@@ -1,4 +1,4 @@
-"""Serialization of token streams — buffered, incremental, and bridged.
+"""Serialization of token streams — buffered and incremental.
 
 Query results in GCX are produced as token streams; this module renders
 them as document text.  Empty elements are rendered as bachelor tags
@@ -11,20 +11,17 @@ The module is organized around three layers:
   *incremental*: each token fed in returns the text fragment it completes,
   so a streaming consumer sees output bytes as soon as the one-token
   bachelor-tag lookahead allows.
-* :class:`TokenSink` — the explicit protocol through which the evaluator
-  emits output tokens.  Three implementations ship: :class:`StringSink`
-  (accumulate everything; the classic buffered result),
-  :class:`WriterSink` (serialize incrementally to any writable, e.g.
-  ``sys.stdout`` — this is what gives ``gcx run`` bounded-memory output),
-  and :class:`GeneratorSink` (bridge a push-based producer to a pull-based
-  consumer by draining buffered tokens as an iterator).
+* :class:`TokenSink` — the protocol a caller drains a run's output tokens
+  into.  Two implementations ship: :class:`StringSink` (accumulate
+  everything; the classic buffered result) and :class:`WriterSink`
+  (serialize incrementally to any writable, e.g. ``sys.stdout`` — this is
+  what gives ``gcx run`` bounded-memory output).
 * module functions — :func:`serialize_tokens` (joined string) and
   :func:`serialize_stream` (generator of text fragments).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Iterator
 
 from repro.xmlio.lexer import tokenize
@@ -37,7 +34,6 @@ __all__ = [
     "TokenSink",
     "StringSink",
     "WriterSink",
-    "GeneratorSink",
 ]
 
 
@@ -139,7 +135,7 @@ class IncrementalSerializer:
 
 
 class TokenSink:
-    """The protocol through which the evaluator emits output tokens.
+    """The protocol a run's output tokens are drained into.
 
     Implementations receive one :class:`~repro.xmlio.tokens.Token` per
     :meth:`write` call, in document order; :meth:`close` is called (by
@@ -225,37 +221,3 @@ class WriterSink(TokenSink):
         if tail:
             self._writable.write(tail)
             self._bytes_written += len(tail)
-
-
-class GeneratorSink(TokenSink):
-    """A sink that bridges push-based producers to pull-based consumers.
-
-    Push-based code (the DOM baseline's interpreter, custom traversals)
-    writes tokens in; a consumer drains them with :meth:`drain` or by
-    iterating the sink.  Draining interleaved with writing yields exactly
-    the tokens written since the previous drain, which is how a push
-    producer can be adapted to the streaming-session API without threads.
-    """
-
-    def __init__(self) -> None:
-        self._queue: deque[Token] = deque()
-        self.closed = False
-
-    def write(self, token: Token) -> None:
-        if self.closed:
-            raise ValueError("cannot write to a closed GeneratorSink")
-        self._queue.append(token)
-
-    def close(self) -> None:
-        self.closed = True
-
-    def drain(self) -> Iterator[Token]:
-        """Yield (and remove) every token buffered so far."""
-        while self._queue:
-            yield self._queue.popleft()
-
-    def __iter__(self) -> Iterator[Token]:
-        return self.drain()
-
-    def __len__(self) -> int:
-        return len(self._queue)

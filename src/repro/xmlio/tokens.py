@@ -36,7 +36,6 @@ __all__ = [
     "Skipped",
     "Span",
     "text_decode_count",
-    "token_stream_to_string",
 ]
 
 
@@ -228,12 +227,3 @@ def unescape_text(content: str) -> str:
         .replace("&apos;", "'")
         .replace("&amp;", "&")
     )
-
-
-def token_stream_to_string(tokens) -> str:
-    """Serialize an iterable of tokens back into document text.
-
-    Adjacent open/close pairs are *not* collapsed into bachelor tags here;
-    use :func:`repro.xmlio.serialize.serialize_tokens` for pretty output.
-    """
-    return "".join(str(token) for token in tokens)

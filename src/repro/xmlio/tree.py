@@ -74,9 +74,6 @@ class XMLNode:
                 parts.append(node.content)
         return "".join(parts)
 
-    def is_element(self) -> bool:
-        return isinstance(self, ElementNode)
-
 
 class ElementNode(XMLNode):
     """An element with a tag name."""

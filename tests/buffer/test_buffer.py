@@ -86,11 +86,6 @@ class TestRoles:
         with pytest.raises(UndefinedRoleRemoval):
             buffer.remove_role(a, role)
 
-    def test_lenient_mode_ignores_undefined_removal(self, role):
-        buffer = BufferTree(strict=False)
-        a = buffer.new_element(buffer.document, "a")
-        buffer.remove_role(a, role)  # no exception
-
     def test_aggregate_roles_separate(self, buffer, role):
         a = buffer.new_element(buffer.document, "a")
         buffer.assign_roles(a, [], aggregate=[(role, 1)])

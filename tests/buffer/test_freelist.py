@@ -10,7 +10,7 @@ from repro.xmark.queries import XMARK_QUERIES
 
 class TestRecycling:
     def test_purged_nodes_are_reused(self):
-        buffer = BufferTree(strict=False)
+        buffer = BufferTree()
         first = buffer.new_element(buffer.document, "a")
         first.finished = True
         buffer._purge(first)
@@ -23,7 +23,7 @@ class TestRecycling:
         assert second.subtree_roles == 0
 
     def test_recycled_node_state_is_pristine(self):
-        buffer = BufferTree(strict=False)
+        buffer = BufferTree()
         parent = buffer.new_element(buffer.document, "p")
         child = buffer.new_text(parent, "payload")
         parent.finished = True
@@ -37,7 +37,7 @@ class TestRecycling:
         assert not fresh.finished and not fresh.marked_deleted
 
     def test_free_list_is_capped(self):
-        buffer = BufferTree(strict=False)
+        buffer = BufferTree()
         root = buffer.new_element(buffer.document, "big")
         for i in range(FREE_LIST_CAP + 10):
             buffer.new_element(root, f"c{i % 7}")
@@ -48,7 +48,7 @@ class TestRecycling:
         assert len(buffer._free_nodes) == FREE_LIST_CAP
 
     def test_reset_keeps_the_slab_warm(self):
-        buffer = BufferTree(strict=False)
+        buffer = BufferTree()
         node = buffer.new_element(buffer.document, "a")
         node.finished = True
         buffer._purge(node)
@@ -79,7 +79,7 @@ class TestRecycling:
         assert stats.nodes_recycled / stats.nodes_created > 0.9
 
     def test_stats_track_recycling_separately_from_creation(self):
-        buffer = BufferTree(strict=False)
+        buffer = BufferTree()
         a = buffer.new_element(buffer.document, "a")
         assert buffer.stats.nodes_created == 1
         assert buffer.stats.nodes_recycled == 0

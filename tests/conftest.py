@@ -19,6 +19,23 @@ def intro_compiled_paper():
     )
 
 
+@pytest.fixture
+def direct_runners(monkeypatch) -> list:
+    """Every schema-certified direct runner a session builds while the
+    test runs (the route a run took, observed where it is chosen)."""
+    from repro.engine import direct
+
+    built: list = []
+
+    class Recorded(direct.DirectEvaluator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(direct, "DirectEvaluator", Recorded)
+    return built
+
+
 @pytest.fixture(scope="session")
 def intro_doc() -> str:
     return INTRO_DOC

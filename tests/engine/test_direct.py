@@ -28,7 +28,8 @@ from hypothesis import strategies as st
 
 from repro.analysis.schema import Schema
 from repro.baselines import NaiveDomEngine
-from repro.buffer.stats import BufferCostModel, BufferStats
+from repro.buffer.buffer import BufferTree
+from repro.buffer.stats import BufferStats
 from repro.engine import EngineOptions, GCXEngine, QuerySession, SessionPool
 from repro.engine.direct import DirectEvaluator
 from repro.engine.session import MATCHER_STATE_CAP
@@ -72,31 +73,32 @@ def run_both(query: str, document: str, schema: Schema):
 
 
 class TestDispatch:
-    def test_certified_query_uses_direct_runner(self, schema):
+    def test_certified_query_uses_direct_runner(self, schema, direct_runners):
         session = GCXEngine().session(SUBTREE_QUERY, schema=schema)
         assert session.compiled.certified_zero_buffer
         run = session.run_streaming(CONFORMING)
-        # The direct runner serves as both preprojector and evaluator.
-        assert isinstance(run._preprojector, DirectEvaluator)
+        # The direct runner is the run's evaluator and its own pump.
+        assert len(direct_runners) == 1
         "".join(run.serialized())
+        assert run.result.exhausted_input
 
-    def test_uncertified_query_keeps_generic_path(self, schema):
+    def test_uncertified_query_keeps_generic_path(self, schema, direct_runners):
         # <a> nesting cannot be ruled out without the schema's help; a
         # where clause is outside the certifiable shape.
         query = "<o>{for $x in //a where (exists $x/b) return $x}</o>"
         session = GCXEngine().session(query, schema=schema)
         assert not session.compiled.certified_zero_buffer
         run = session.run_streaming(CONFORMING)
-        assert not isinstance(run._preprojector, DirectEvaluator)
+        assert direct_runners == []
         "".join(run.serialized())
 
-    def test_eager_leaf_bindings_excludes_direct(self, schema):
+    def test_eager_leaf_bindings_excludes_direct(self, schema, direct_runners):
         # The flux-like configuration changes evaluation order; the
         # certificate is proven for the default order only.
         options = EngineOptions(eager_leaf_bindings=True)
         session = GCXEngine(options).session(SUBTREE_QUERY, schema=schema)
         run = session.run_streaming(CONFORMING)
-        assert not isinstance(run._preprojector, DirectEvaluator)
+        assert direct_runners == []
         "".join(run.serialized())
 
 
@@ -279,16 +281,17 @@ def copy_routes(document: bytes, directory: Path) -> dict:
 def chunked_run(session: QuerySession, document: bytes, chunk_size: int = 16):
     """The certified runner over a guided 16-byte-chunk scan."""
     guide = session.runtime.chain_guide()
-    stats = BufferStats()
+    buffer = BufferTree()
     direct = DirectEvaluator(
         guide,
         FileTokenizer(
-            io.BytesIO(document), chunk_size=chunk_size, guide=guide.for_run(stats)
+            io.BytesIO(document),
+            chunk_size=chunk_size,
+            guide=guide.for_run(buffer.stats),
         ),
-        stats,
-        BufferCostModel(),
+        buffer,
     )
-    return direct, stats
+    return direct, buffer.stats
 
 
 def assert_copy_conformance(query: str, document: bytes) -> None:

@@ -73,11 +73,11 @@ class TestFigure2Evaluation:
 
     def test_step7_buffer_after_first_book(self, machinery):
         compiled, buffer, pp = machinery
-        sink = StringSink()
-        evaluator = Evaluator(
-            compiled.rewritten, buffer, pp, sink, aggregate_roles=False
+        list(
+            Evaluator(
+                compiled.rewritten, buffer, pp.pull, aggregate_roles=False
+            ).iter_tokens()
         )
-        evaluator.run()
         # After evaluation the buffer is empty, so instead replay only the
         # first book by a fresh run over a longer stream, pausing when the
         # second book starts: the paper's step 7 state.
@@ -88,9 +88,8 @@ class TestFigure2Evaluation:
             tokenize(stream), compiled2.projection_tree, buffer2,
             aggregate_roles=False,
         )
-        sink2 = StringSink()
         evaluator2 = Evaluator(
-            compiled2.rewritten, buffer2, pp2, sink2, aggregate_roles=False
+            compiled2.rewritten, buffer2, pp2.pull, aggregate_roles=False
         )
         snapshots = []
 
@@ -98,7 +97,7 @@ class TestFigure2Evaluation:
             snapshots.append((event, buffer2.format_contents()))
 
         evaluator2.on_event = snapshot
-        evaluator2.run()
+        list(evaluator2.iter_tokens())
         # Find the state right after the first book's signOff batch ran
         # (the last signOff of the batch is r5's).
         after_batch = [
@@ -115,30 +114,35 @@ class TestFigure2Evaluation:
     def test_step6_output(self, machinery):
         compiled, buffer, pp = machinery
         sink = StringSink()
-        Evaluator(compiled.rewritten, buffer, pp, sink, aggregate_roles=False).run()
+        sink.write_all(
+            Evaluator(
+                compiled.rewritten, buffer, pp.pull, aggregate_roles=False
+            ).iter_tokens()
+        )
         assert sink.getvalue() == "<r><book><title/><author/></book><title/></r>"
 
     def test_author_purged_title_kept(self, machinery):
         """Step 6's narrative: the author node loses its single role r5 and,
         as it has no descendants, is purged; title keeps r7 for for_b."""
         compiled, buffer, pp = machinery
-        sink = StringSink()
         states = []
         evaluator = Evaluator(
-            compiled.rewritten, buffer, pp, sink, aggregate_roles=False,
+            compiled.rewritten, buffer, pp.pull, aggregate_roles=False,
             on_event=lambda event: states.append(
                 (event, [l.split("{")[0].strip() for l in buffer.format_contents()])
             ),
         )
-        evaluator.run()
+        list(evaluator.iter_tokens())
         r5_state = [s for e, s in states if "r5" in e][0]
         assert "author" not in r5_state
         assert "title" in r5_state
 
     def test_buffer_empty_at_end(self, machinery):
         compiled, buffer, pp = machinery
-        Evaluator(
-            compiled.rewritten, buffer, pp, StringSink(), aggregate_roles=False
-        ).run()
+        list(
+            Evaluator(
+                compiled.rewritten, buffer, pp.pull, aggregate_roles=False
+            ).iter_tokens()
+        )
         assert buffer.is_empty()
         assert buffer.stats.role_accounting_balanced()

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import pytest
 
+import repro.engine.session as session_module
 from repro.engine import MultiQuerySession, QuerySession
+from repro.stream.preprojector import StreamPreprojector
 from repro.xmark.queries import XMARK_QUERIES
 from repro.xmlio import StringSink
 
@@ -54,22 +56,31 @@ FIRST_WITNESS_QUERY = (
 
 
 class TestInterleavedDepthState:
-    def test_two_generators_keep_independent_depth(self):
+    def test_two_generators_keep_independent_depth(self, monkeypatch):
         """The satellite regression: depths diverge, outputs do not."""
         session = QuerySession(QUERY)
         doc_a, doc_b = doc_flat(4), doc_deep(3)
         expected_a = session.run(doc_a).output
         expected_b = session.run(doc_b).output
 
+        pumps: list[StreamPreprojector] = []
+
+        class RecordedPump(StreamPreprojector):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pumps.append(self)
+
+        monkeypatch.setattr(session_module, "StreamPreprojector", RecordedPump)
         run_a = session.run_streaming(doc_a)
         run_b = session.run_streaming(doc_b)
+        pump_a, pump_b = pumps
         out_a = [next(run_a)]  # A under way...
         out_b = drain(run_b)  # ...while B runs to completion
         # B's exhaustion must not have dragged A's preprojector along:
         # A is still mid-document at its own depth, B's is closed out.
-        assert not run_a._preprojector.exhausted
-        assert run_b._preprojector.exhausted
-        assert run_b._preprojector.depth == 0
+        assert not pump_a.buffer.document.finished
+        assert run_b.result.exhausted_input
+        assert pump_b.depth == 0
         out_a.extend(run_a)
         assert drain(out_a) == expected_a
         assert out_b == expected_b

@@ -256,6 +256,23 @@ class TestRunMachinery:
         assert results["Q1"].output == golden("Q1")
         assert results["Q6"].output == golden("Q6")
 
+    def test_a_copied_span_is_refused_not_dropped(self):
+        """A stream scanned under one member's own guide carries that
+        member's copy sites as Spans; the shared pass never copies, so it
+        must refuse them rather than lose their subtrees."""
+        copying = "<o>{for $b in /r/b return $b}</o>"
+        document = "<r><b><c>x</c></b><b>y</b></r>"
+        guide = QuerySession(copying).runtime.matcher()
+        session = MultiQuerySession(
+            {"a": copying, "z": "<o>{for $b in /r/b return <hit/>}</o>"}
+        )
+        with pytest.raises(TypeError, match=r"no Span \(a copied <b>\)"):
+            session.run(iter(tokenize(document, guide=guide)))
+        assert outstanding_checkouts(session) == {"a": 0, "z": 0}
+        results = session.run(document)
+        assert results["a"].output == "<o><b><c>x</c></b><b>y</b></o>"
+        assert results["z"].output == "<o><hit/><hit/></o>"
+
     def test_result_outputs_and_wall_clock(self, document):
         session = MultiQuerySession({"Q1": XMARK_QUERIES["Q1"].adapted})
         results = session.run(document)

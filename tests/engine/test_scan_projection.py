@@ -161,9 +161,8 @@ class TestInterrupt:
         assert stream.result.stats.tokens_skipped == plain.stats.tokens_skipped > 0
         assert calls == delivered < plain.stats.tokens_read
 
-    def test_direct_evaluator_passes_are_interruptible_too(self):
+    def test_direct_evaluator_passes_are_interruptible_too(self, direct_runners):
         from repro.analysis.schema import Schema
-        from repro.engine.direct import DirectEvaluator
 
         calls = 0
 
@@ -175,7 +174,7 @@ class TestInterrupt:
         schema = Schema.from_dtd_text(self.DTD)
         with SessionPool("<o>{for $x in //a return $x}</o>", schema=schema) as pool:
             stream = pool.run_streaming(document, interrupt=interrupt)
-            assert isinstance(stream._preprojector, DirectEvaluator)
+            assert len(direct_runners) == 1
             output = "".join(stream.serialized())
         # The direct runner's chain guide copies each match: <r>, one Span
         # per <a>, </r> — once per delivered item, not per token read.

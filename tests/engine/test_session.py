@@ -239,14 +239,23 @@ class TestSinks:
     def test_caller_provided_sink_is_not_closed(self):
         """A reusable sink survives several runs; run() only closes sinks
         it created itself."""
-        from repro.xmlio import GeneratorSink
+
+        class ClosingCounter(WriterSink):
+            closes = 0
+
+            def close(self):
+                self.closes += 1
+                super().close()
 
         session = QuerySession(INTRO_QUERY)
-        bridge = GeneratorSink()
-        session.run(DOC_A, sink=bridge)
-        session.run(DOC_B, sink=bridge)  # must not raise "closed sink"
-        assert not bridge.closed
-        assert len(bridge) > 0
+        target = io.StringIO()
+        reused = ClosingCounter(target)
+        session.run(DOC_A, sink=reused)
+        session.run(DOC_B, sink=reused)
+        assert reused.closes == 0
+        expected_a = GCXEngine().run(INTRO_QUERY, DOC_A).output
+        expected_b = GCXEngine().run(INTRO_QUERY, DOC_B).output
+        assert target.getvalue() == expected_a + expected_b
 
     def test_idle_session_spare_buffer_is_empty(self):
         """The recycled buffer is reset at release, so an idle session
@@ -283,3 +292,57 @@ class TestEngineFrontDoor:
         )
         assert "".join(stream.serialized()) == "<out/>"
         assert stream.result.first_output_seconds is not None
+
+
+class TestEndOfStream:
+    """``RunResult.exhausted_input`` is read from the run's buffer, the one
+    record of end of stream, on every route a run can take."""
+
+    DTD = (
+        "<!ELEMENT r (people, junk)>\n"
+        "<!ELEMENT people (p*)>\n"
+        "<!ELEMENT p (id)>\n"
+        "<!ELEMENT id (#PCDATA)>\n"
+        "<!ELEMENT junk (j*)>\n"
+        "<!ELEMENT j EMPTY>\n"
+    )
+    DOC = "<r><people><p><id>x</id></p></people><junk>" + "<j/>" * 50 + "</junk></r>"
+    #: Must read to the end: another <people> could follow.
+    FULL = "<out>{for $p in /r/people/p return $p}</out>"
+    #: Decided by the first <people>: stops reading there.
+    EARLY = "<out>{if (exists $root/r/people) then <yes/> else <no/>}</out>"
+
+    def solo(self, query, schema=None):
+        session = QuerySession(query, schema=schema)
+        assert session.compiled.certified_zero_buffer == (schema is not None)
+        return session.run(self.DOC)
+
+    def member(self, name):
+        from repro.engine import MultiQuerySession
+
+        pass_ = MultiQuerySession({"full": self.FULL, "early": self.EARLY})
+        return pass_.run(self.DOC)[name]
+
+    @pytest.mark.parametrize(
+        "route, read_to_end",
+        [
+            ("solo-buffered", True),
+            ("direct", True),
+            ("shared-member", True),
+            ("solo-early", False),
+            ("early-retired", False),
+        ],
+    )
+    def test_exhausted_input_agrees_across_routes(self, route, read_to_end):
+        from repro.analysis.schema import Schema
+
+        result = {
+            "solo-buffered": lambda: self.solo(self.FULL),
+            "direct": lambda: self.solo(self.FULL, Schema.from_dtd_text(self.DTD)),
+            "shared-member": lambda: self.member("full"),
+            "solo-early": lambda: self.solo(self.EARLY),
+            "early-retired": lambda: self.member("early"),
+        }[route]()
+        assert result.exhausted_input is read_to_end
+        expected = self.solo(self.FULL if read_to_end else self.EARLY).output
+        assert result.output == expected

@@ -66,7 +66,7 @@ def figure5_tree() -> ProjectionTree:
 
 def project_with_roles(tree: ProjectionTree, document: str, *, aggregate=False):
     """Run the preprojector and return {(tag, seq): sorted role names}."""
-    buffer = BufferTree(strict=False)
+    buffer = BufferTree()
     preprojector = StreamPreprojector(
         tokenize(document), tree, buffer, aggregate_roles=aggregate
     )
@@ -161,13 +161,13 @@ class TestTransitionCache:
         tree = figure5_tree()
         doc = "<a><a><b/><c/><b/></a><b/><a><b/></a></a>"
         cached = StreamMatcher(tree, aggregate_roles=False)
-        buffer_a = BufferTree(strict=False)
+        buffer_a = BufferTree()
         StreamPreprojector(
             tokenize(doc), tree, buffer_a, aggregate_roles=False
         ).run_to_completion()
         # Re-run; identical population implies deterministic transitions and
         # the cache is warm for the second run.
-        buffer_b = BufferTree(strict=False)
+        buffer_b = BufferTree()
         StreamPreprojector(
             tokenize(doc), tree, buffer_b, aggregate_roles=False
         ).run_to_completion()

@@ -32,7 +32,7 @@ def compiled_tree():
 
 def project(document: str, tree=None, matcher: StreamMatcher | None = None):
     """Run preprojection; returns (buffer, preprojector)."""
-    buffer = BufferTree(strict=False)
+    buffer = BufferTree()
     preprojector = StreamPreprojector(
         tokenize(document),
         tree if tree is not None else compiled_tree(),
@@ -79,7 +79,7 @@ class TestHitCounts:
         _buffer1, first = project(document, tree=tree)
         warm_matcher = first.matcher
         misses_after_first = warm_matcher.table_misses
-        buffer2 = BufferTree(strict=False)
+        buffer2 = BufferTree()
         preprojector2 = StreamPreprojector(
             tokenize(document), tree, buffer2, matcher=warm_matcher
         )
@@ -103,7 +103,7 @@ class TestMemoizedEqualsCold:
         cold_buffer, _ = project(xmark_doc_small, tree=tree)
         # Warm: reuse a matcher that already saw the document once.
         _b, warmed = project(xmark_doc_small, tree=tree)
-        warm_buffer = BufferTree(strict=False)
+        warm_buffer = BufferTree()
         preprojector = StreamPreprojector(
             tokenize(xmark_doc_small), tree, warm_buffer, matcher=warmed.matcher
         )
@@ -148,7 +148,7 @@ class TestSharedMatcherGuard:
             StreamPreprojector(
                 tokenize("<site/>"),
                 tree,
-                BufferTree(strict=False),
+                BufferTree(),
                 aggregate_roles=False,
                 matcher=matcher,
             )

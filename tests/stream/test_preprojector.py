@@ -1,10 +1,11 @@
 """Preprojector tests: incremental projection, preservation, cancellation."""
 
+import pytest
 
 from repro.analysis import CompileOptions, compile_query
 from repro.buffer import BufferTree
 from repro.stream import StreamPreprojector
-from repro.xmlio import tokenize
+from repro.xmlio import StartTag, Token, tokenize
 
 from tests.helpers import INTRO_QUERY
 
@@ -13,7 +14,7 @@ PAPER_OPTIONS = CompileOptions(early_updates=False, eliminate_redundant=False)
 
 def projector_for(query_text, document, *, options=PAPER_OPTIONS, aggregate=False):
     compiled = compile_query(query_text, options)
-    buffer = BufferTree(strict=False)
+    buffer = BufferTree()
     preprojector = StreamPreprojector(
         tokenize(document), compiled.projection_tree, buffer, aggregate_roles=aggregate
     )
@@ -29,11 +30,21 @@ class TestIncrementality:
         assert buffer.format_contents() == ["bib{r2}"]
 
     def test_pull_returns_false_at_eof(self):
-        _c, _buffer, pp = projector_for(INTRO_QUERY, "<bib/>")
+        _c, buffer, pp = projector_for(INTRO_QUERY, "<bib/>")
         assert pp.pull() is True  # <bib>
         assert pp.pull() is True  # </bib>
         assert pp.pull() is False
-        assert pp.exhausted
+        assert buffer.document.finished
+        assert pp.pull() is False  # and stays spent
+
+    def test_unknown_token_kind_is_refused(self):
+        compiled = compile_query(INTRO_QUERY, PAPER_OPTIONS)
+        pp = StreamPreprojector(
+            iter([StartTag("bib"), Token()]), compiled.projection_tree, BufferTree()
+        )
+        assert pp.pull() is True
+        with pytest.raises(TypeError, match="takes no Token token"):
+            pp.pull()
 
     def test_document_finished_at_eof(self):
         _c, buffer, pp = projector_for(INTRO_QUERY, "<bib/>")

@@ -6,9 +6,11 @@ import pytest
 
 from repro.analysis import compile_query
 from repro.buffer.buffer import BufferTree
+from repro.engine.evaluator import Evaluator
 from repro.stream.preprojector import ProjectionLane, StreamPreprojector
 from repro.stream.shared import SharedPreprojector
 from repro.xmlio.lexer import tokenize
+from repro.xmlio.serialize import serialize_tokens
 
 DOC = (
     "<r>"
@@ -21,7 +23,7 @@ DOC = (
 
 def lane_for(query: str) -> ProjectionLane:
     tree = compile_query(query).projection_tree
-    return ProjectionLane(tree, BufferTree(strict=False))
+    return ProjectionLane(tree, BufferTree())
 
 
 def shared_over(document: str, *queries: str) -> SharedPreprojector:
@@ -40,7 +42,7 @@ class TestSingleScan:
         assert shared.tokens_read == sum(1 for _token in tokenize(DOC))
         assert shared.exhausted
         for lane in shared.lanes:
-            assert lane.exhausted
+            assert lane.buffer.document.finished
             assert lane.depth == 0
 
     def test_single_lane_equals_plain_preprojector(self):
@@ -48,7 +50,7 @@ class TestSingleScan:
         shared = shared_over(DOC, QUERY_A)
         shared.run_to_completion()
         tree = compile_query(QUERY_A).projection_tree
-        solo = StreamPreprojector(tokenize(DOC), tree, BufferTree(strict=False))
+        solo = StreamPreprojector(tokenize(DOC), tree, BufferTree())
         solo.run_to_completion()
         assert (
             shared.lanes[0].buffer.format_contents()
@@ -87,7 +89,7 @@ class TestRouting:
             shared.run_to_completion()
             tree = compile_query(query).projection_tree
             solo = StreamPreprojector(
-                tokenize(DOC), tree, BufferTree(strict=False)
+                tokenize(DOC), tree, BufferTree()
             )
             solo.run_to_completion()
             index = 0 if query is QUERY_A else 1
@@ -106,8 +108,9 @@ class TestRetire:
         shared.retire(0)
         shared.run_to_completion()
         assert shared.lanes[0].buffer.stats.tokens_read == before
-        assert not shared.lanes[0].exhausted  # no stream-end bookkeeping
-        assert shared.lanes[1].exhausted
+        # No stream-end bookkeeping for the retired lane.
+        assert not shared.lanes[0].buffer.document.finished
+        assert shared.lanes[1].buffer.document.finished
 
     def test_retire_while_parked_skips_the_reactivation(self):
         shared = shared_over(DOC, QUERY_A, QUERY_B)
@@ -128,12 +131,22 @@ class TestConstruction:
         with pytest.raises(ValueError, match="at least one lane"):
             SharedPreprojector(tokenize(DOC), [])
 
-    def test_view_exposes_the_lane_surface(self):
-        shared = shared_over(DOC, QUERY_A)
-        view = shared.view(0)
-        assert view.depth == 0
-        assert not view.exhausted
-        assert view.buffer is shared.lanes[0].buffer
-        while view.pull():
-            pass
-        assert view.exhausted
+
+class TestMemberEvaluators:
+    def test_a_pull_through_any_member_feeds_every_active_lane(self):
+        compiled = [compile_query(query) for query in (QUERY_A, QUERY_B)]
+        lanes = [ProjectionLane(c.projection_tree, BufferTree()) for c in compiled]
+        shared = SharedPreprojector(tokenize(DOC), lanes)
+        evaluator_a, evaluator_b = (
+            Evaluator(c.rewritten, lane.buffer, shared.pull)
+            for c, lane in zip(compiled, lanes)
+        )
+        # B's demand alone drives the scan to its end...
+        assert serialize_tokens(evaluator_b.iter_tokens()) == "<o><y>keep-b</y></o>"
+        assert shared.exhausted
+        # ...and every active lane was fed on the way: A's answer is
+        # already buffered, so producing it reads nothing more.
+        assert lanes[0].buffer.document.finished
+        read = shared.tokens_read
+        assert serialize_tokens(evaluator_a.iter_tokens()) == "<o><x>keep-a</x></o>"
+        assert shared.tokens_read == read

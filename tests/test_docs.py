@@ -48,6 +48,30 @@ class TestDocFilesExist:
         assert used <= known, f"unknown subcommands referenced: {used - known}"
 
 
+class TestDocSymbols:
+    def test_docs_name_only_symbols_that_exist(self):
+        assert check_docs.check_doc_symbols() == []
+
+    def test_a_missing_symbol_is_reported(self, tmp_path, monkeypatch):
+        """The check itself: a stale name and a stale member both fail,
+        members resolve through base classes, file names are skipped."""
+        doc = tmp_path / "docs" / "STALE.md"
+        doc.parent.mkdir()
+        doc.write_text(
+            "`LaneView` and `Evaluator._stream_node` are gone;\n"
+            "`SessionPool.run_streaming` is inherited, `BENCHMARK.json` a file,\n"
+            "`ThreadPoolExecutor` allowlisted and `StopIteration` a builtin.\n",
+            encoding="utf-8",
+        )
+        for root in check_docs.SYMBOL_ROOTS:
+            (tmp_path / root).symlink_to(REPO / root)
+        monkeypatch.setattr(check_docs, "REPO", tmp_path)
+        failures = check_docs.check_doc_symbols()
+        assert len(failures) == 2
+        assert failures[0].startswith("docs/STALE.md:1 names `LaneView`")
+        assert failures[1].startswith("docs/STALE.md:1 names `Evaluator._stream_node`")
+
+
 class TestReadmeStructure:
     def test_console_blocks_present(self):
         assert check_docs.readme_console_commands(), "README quickstart lost"

@@ -163,16 +163,19 @@ class TestWellFormednessErrors:
 
 class TestStreamingBehaviour:
     def test_tokenizer_is_lazy(self):
-        """Tokens come out one at a time without scanning the tail."""
+        """Tokens come out as they are asked for, without scanning the
+        tail: iteration reads one batch ahead of the consumer, no more."""
         from repro.xmlio import XMLTokenizer
 
-        lexer = XMLTokenizer("<a><b/><c/></a>")
-        assert lexer.next_token() == StartTag("a")
-        assert lexer.next_token() == StartTag("b")
+        document = "<a><b/><c/></a>"
+        lexer = XMLTokenizer(document)
+        lexer._batch_bytes = 3  # one construct per batch
+        tokens = iter(lexer)
+        assert next(tokens) == StartTag("a")
+        assert next(tokens) == StartTag("b")
         # The rest of the document is untouched so far; consume it now.
-        rest = []
-        while (token := lexer.next_token()) is not None:
-            rest.append(token)
+        assert lexer._pos == len("<a><b/>")
+        rest = list(tokens)
         assert rest == [EndTag("b"), StartTag("c"), EndTag("c"), EndTag("a")]
 
     def test_iterator_protocol(self):

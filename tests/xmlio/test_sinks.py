@@ -5,7 +5,6 @@ import io
 import pytest
 
 from repro.xmlio.serialize import (
-    GeneratorSink,
     IncrementalSerializer,
     StringSink,
     WriterSink,
@@ -118,30 +117,3 @@ class TestWriterSink:
         assert target.getvalue() == ""
         sink.close()
         assert target.getvalue() == "<r>"
-
-
-class TestGeneratorSink:
-    def test_drain_yields_written_tokens(self):
-        sink = GeneratorSink()
-        sink.write_all(STREAMS["flat"])
-        assert list(sink) == STREAMS["flat"]
-        assert list(sink) == []  # drained
-
-    def test_interleaved_write_and_drain(self):
-        sink = GeneratorSink()
-        sink.write(StartTag("a"))
-        assert list(sink.drain()) == [StartTag("a")]
-        sink.write(EndTag("a"))
-        assert list(sink.drain()) == [EndTag("a")]
-
-    def test_len_reflects_pending(self):
-        sink = GeneratorSink()
-        assert len(sink) == 0
-        sink.write(Text("x"))
-        assert len(sink) == 1
-
-    def test_closed_sink_rejects_writes(self):
-        sink = GeneratorSink()
-        sink.close()
-        with pytest.raises(ValueError):
-            sink.write(Text("x"))

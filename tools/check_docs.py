@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation health check (run by CI's docs job).
 
-Four checks, all stdlib-only:
+Five checks, all stdlib-only:
 
 1. every module under ``src/repro`` has a module docstring;
 2. the documentation files the README promises actually exist;
@@ -10,7 +10,12 @@ Four checks, all stdlib-only:
    resolved to ``python -m repro.cli`` — so the quickstart cannot rot;
 4. docs/PERFORMANCE.md stays in sync with the benchmark and the hot path
    it describes: every workload and every end-to-end metric declared in
-   ``BENCHMARK.json``, and every tokenizer tuning knob, must be mentioned.
+   ``BENCHMARK.json``, and every tokenizer tuning knob, must be mentioned;
+5. the docs name only symbols that exist: every backticked CamelCase name
+   and every ``Class.member`` in docs/*.md, README.md and
+   examples/README.md resolves to a class, function or attribute defined
+   under src/, tests/, benchmarks/ or examples/ (members through base
+   classes), a Python builtin, or an entry of :data:`SYMBOL_ALLOWLIST`.
 
 Exit status 0 when everything passes; each failure is reported and the
 script exits 1.
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import builtins
 import json
 import os
 import re
@@ -101,6 +107,134 @@ def check_performance_doc() -> list[str]:
     for term in PERFORMANCE_TERMS:
         if term not in text:
             failures.append(f"docs/PERFORMANCE.md does not mention {term!r}")
+    return failures
+
+
+#: The files whose backticked symbols must exist, and where they may be
+#: defined.
+SYMBOL_DOCS = ("docs/*.md", "README.md", "examples/README.md")
+SYMBOL_ROOTS = ("src", "tests", "benchmarks", "examples")
+
+#: Backticked names the symbol check accepts although the repository does
+#: not define them (Python builtins are accepted as well).
+SYMBOL_ALLOWLIST = frozenset(
+    {
+        # concurrent.futures: the executor a SessionPool's workers run on.
+        "ThreadPoolExecutor",
+    }
+)
+#: Defined outside the repository: members of these are not checked.
+_EXTERNAL = frozenset(dir(builtins)) | SYMBOL_ALLOWLIST
+
+_CODE_SPAN = re.compile(r"`([^`\n]+)`")
+_CAPITALISED = re.compile(r"(?<![\w.])[A-Z]\w*")
+_MEMBER = re.compile(r"(?<![\w.])([A-Z]\w*)\.(\w+)")
+#: ``Name.suffix`` spelling a file name (``BENCHMARK.json``), not a member.
+_FILE_SUFFIXES = frozenset(
+    {"json", "jsonl", "md", "py", "xq", "dtd", "xml", "txt", "yml", "toml"}
+)
+
+
+def _is_camel_case(word: str) -> bool:
+    return sum(c.isupper() for c in word) >= 2 and any(c.islower() for c in word)
+
+
+class _SymbolIndex:
+    """Every class (with its bases and members), function and assigned
+    name or attribute defined in the Python files under ``roots``."""
+
+    def __init__(self, roots: tuple[str, ...]) -> None:
+        self.names: set[str] = set(_EXTERNAL)
+        # class name -> [(base names, member names)], one per definition
+        self.classes: dict[str, list[tuple[list[str], set[str]]]] = {}
+        for root in roots:
+            for path in sorted((REPO / root).rglob("*.py")):
+                self._index(ast.parse(path.read_text(encoding="utf-8")))
+
+    def _index(self, tree: ast.AST) -> None:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self.names.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                self.names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                self.names.add(node.attr)
+            elif isinstance(node, ast.ClassDef):
+                self.names.add(node.name)
+                bases = [
+                    base.id if isinstance(base, ast.Name) else base.attr
+                    for base in node.bases
+                    if isinstance(base, (ast.Name, ast.Attribute))
+                ]
+                self.classes.setdefault(node.name, []).append(
+                    (bases, _class_members(node))
+                )
+
+    def has_member(self, name: str, member: str, seen: set[str] | None = None) -> bool:
+        seen = set() if seen is None else seen
+        if name in seen:
+            return False
+        seen.add(name)
+        return any(
+            member in members
+            or any(self.has_member(base, member, seen) for base in bases)
+            for bases, members in self.classes.get(name, ())
+        )
+
+
+def _class_members(node: ast.ClassDef) -> set[str]:
+    """Methods, nested classes, class-level assignments and ``self.x``
+    attributes of one class definition."""
+    members: set[str] = set()
+    for stmt in node.body:
+        targets = (
+            stmt.targets
+            if isinstance(stmt, ast.Assign)
+            else [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+        )
+        members.update(t.id for t in targets if isinstance(t, ast.Name))
+    for sub in ast.walk(node):
+        if sub is node:
+            continue
+        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            members.add(sub.name)
+        elif (
+            isinstance(sub, ast.Attribute)
+            and isinstance(sub.ctx, ast.Store)
+            and isinstance(sub.value, ast.Name)
+            and sub.value.id == "self"
+        ):
+            members.add(sub.attr)
+    return members
+
+
+def check_doc_symbols() -> list[str]:
+    """Backticked CamelCase names and ``Class.member`` spellings in the docs
+    must name something the repository defines."""
+    index = _SymbolIndex(SYMBOL_ROOTS)
+    failures = []
+    docs = sorted({path for pattern in SYMBOL_DOCS for path in REPO.glob(pattern)})
+    for path in docs:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, 1):
+            for span in _CODE_SPAN.findall(line):
+                unknown = [
+                    f"{name}.{member}"
+                    for name, member in _MEMBER.findall(span)
+                    if member not in _FILE_SUFFIXES
+                    and name not in _EXTERNAL
+                    and not index.has_member(name, member)
+                ]
+                unknown += [
+                    word
+                    for word in _CAPITALISED.findall(span)
+                    if _is_camel_case(word) and word not in index.names
+                ]
+                failures += [
+                    f"{path.relative_to(REPO)}:{lineno} names `{symbol}`, which "
+                    "nothing under src/, tests/, benchmarks/ or examples/ defines"
+                    for symbol in dict.fromkeys(unknown)
+                ]
     return failures
 
 
@@ -192,7 +326,10 @@ def main() -> int:
     args = parser.parse_args()
 
     failures = (
-        check_module_docstrings() + check_docs_exist() + check_performance_doc()
+        check_module_docstrings()
+        + check_docs_exist()
+        + check_performance_doc()
+        + check_doc_symbols()
     )
     if not args.skip_readme_commands:
         failures += check_readme_commands()
