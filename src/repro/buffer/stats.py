@@ -92,7 +92,8 @@ class BufferStats:
     #: The part of ``tokens_read`` received inside copied
     #: :class:`~repro.xmlio.tokens.Span` subtrees (docs/PERFORMANCE.md,
     #: "The COPY row"): a schema-certified direct run's matches, or a
-    #: buffered run's copy sites; zero on the shared pass.
+    #: buffered run's copy sites (in the shared pass, those every other
+    #: lane is dead at).
     tokens_copied: int = 0
     #: Matches the scanner was to copy but delivered LIVE: a possible
     #: nested match, malformed or non-UTF-8 input, a subtree larger than

@@ -120,10 +120,11 @@ class MultiRunStats:
 class MultiStreamingRun:
     """One in-flight shared pass, consumed as ``(name, token)`` pairs.
 
-    Iterating drives every query's evaluator round-robin: each cycle
-    advances each live query by one output token (a pull by any of them
-    feeds all lanes, so queries whose data is already buffered drain it
-    before more input is read).  When a query's run completes, its
+    Iterating drives every query's evaluator round-robin, one output
+    token per turn.  A pull by any of them feeds all lanes, and a query
+    keeps its turn for as long as its tokens need no input, so queries
+    whose data is already buffered drain it before more input is read.
+    When a query's run completes, its
     :class:`~repro.engine.session.RunResult` lands in :attr:`results` and
     its lane is retired from the dispatch — the dynamic merged-signoff
     release.  :meth:`close` abandons every still-open per-query run; each
@@ -156,11 +157,13 @@ class MultiStreamingRun:
         return next(self._gen)
 
     def _generate(self) -> Iterator[tuple[str, Token]]:
+        shared = self._shared
         live: deque[tuple[int, str, StreamingRun]] = deque(
             (index, name, run) for index, (name, run) in enumerate(self._runs)
         )
         while live:
-            index, name, run = live.popleft()
+            member = index, name, run = live.popleft()
+            read = shared.tokens_read
             try:
                 token = next(run)
             except StopIteration:
@@ -168,7 +171,7 @@ class MultiStreamingRun:
                 # the lane so no further input is matched on its behalf
                 # (its buffer already went back to its session).
                 self.results[name] = run.result
-                self._shared.retire(index)
+                shared.retire(index)
                 continue
             except BaseException:
                 # One query poisoned the pass: abandon the others so their
@@ -177,7 +180,10 @@ class MultiStreamingRun:
                 # and cannot close itself; it dies by raising.)
                 self._abandon_open_runs()
                 raise
-            live.append((index, name, run))
+            if shared.tokens_read == read:
+                live.appendleft(member)  # answered from its buffer: go on
+            else:
+                live.append(member)
             yield (name, token)
         self._session.runs_completed += 1
 
@@ -310,9 +316,8 @@ class MultiQuerySession:
             ]
             if self._guide is None or self._guide.guides != matchers:
                 self._guide = ProductGuide(matchers)
-            shared = SharedPreprojector(
-                document_tokens(document, guide=self._guide), lanes
-            )
+            guide = self._guide.for_run([buffer.stats for buffer in buffers])
+            shared = SharedPreprojector(document_tokens(document, guide=guide), lanes)
             for name, session, buffer in zip(self.names, sessions, buffers):
                 evaluator = session.runtime.evaluator(buffer, shared.pull)
                 runs.append((name, StreamingRun(session, buffer, evaluator)))

@@ -94,9 +94,9 @@ def document_tokens(
     A pre-tokenised iterator is passed through as it is, so it must be
     unguided or scanned under this run's own guide: a stream scanned under
     another query's guide carries that query's ``Skipped`` and ``Span``
-    tokens, and a solo run fed them loses the subtrees they stand for
-    without an error (a shared pass refuses a ``Span`` with a
-    ``TypeError``).
+    tokens.  A lane refuses a ``Span`` below which it reads with a
+    ``TypeError``, but a run fed the other guide's ``Skipped`` loses the
+    subtrees they stand for without an error.
 
     ``interrupt`` is called once per delivered token (``Skipped`` and
     ``Span`` included) and aborts the pass by raising: it is how a consumer on another

@@ -316,7 +316,7 @@ class StreamMatcher:
         transition = self._compute(
             [MatchFrame(row.matches, row.cumulative)], tag=tag, is_text=False
         )
-        if self._copies(transition, tag):
+        if self.copies(transition, tag):
             entry = scan_entry(name_key, COPY, row)
         elif transition.aggregate_roles or not _descends(transition.cumulative):
             entry = scan_entry(name_key, None, row)  # LIVE
@@ -335,7 +335,7 @@ class StreamMatcher:
         fallbacks counted on the run's statistics."""
         return RunGuide(self, stats)
 
-    def _copies(self, transition: Transition, tag: str) -> bool:
+    def copies(self, transition: Transition, tag: str) -> bool:
         """Is the transition's element a COPY entry?  Its aggregate roles
         all belong to copy sites, the nodes matched at it have no other
         children (so nothing below is read but through the aggregate

@@ -60,8 +60,9 @@ class ProjectionLane:
     runs of dead tokens with :meth:`skipped` counts and an unguided stream
     never sends one, so the lane takes either vocabulary and ends with the
     same counters.  A copy site's subtree may also arrive whole, as one
-    :class:`~repro.xmlio.tokens.Span` for :meth:`copied` (single-query
-    runs only: the shared pass delivers such subtrees LIVE).
+    :class:`~repro.xmlio.tokens.Span` for :meth:`copied`: in a solo run
+    wherever the lane's matcher copies, and in the shared pass where
+    every other lane is dead.
     """
 
     def __init__(
@@ -114,8 +115,8 @@ class ProjectionLane:
     # stream events
     # ------------------------------------------------------------------
 
-    def open(self, tag: str) -> None:
-        """An opening tag was read for this lane."""
+    def open(self, tag: str) -> Transition:
+        """An opening tag was read for this lane; returns its transition."""
         buffer = self.buffer
         stats = buffer.stats
         stats.tokens_read += 1
@@ -152,6 +153,7 @@ class ProjectionLane:
         )
         if self.accumulators is not None:
             self.accumulators.on_open(tag, transition.matches, node)
+        return transition
 
     def close(self) -> None:
         """The closing tag of the lane's deepest open element was read."""
@@ -216,12 +218,28 @@ class ProjectionLane:
         stats.nodes_dropped += dropped
 
     def copied(self, span: Span) -> None:
-        """A copy site's element arrived whole, as ``span`` (its matcher
-        row said COPY): open it as LIVE would, keep the span as the
-        buffered element's content — charged as text bytes — and close it.
-        Nothing below the element can concern the lane but through its
-        aggregate cover, so no other node is built for the subtree."""
-        self.open(span.start.tag)
+        """A copy site's element arrived whole, as ``span``.
+
+        Where the lane's matcher copies the element, open it as LIVE
+        would, keep the span as the buffered element's content — charged
+        as text bytes — and close it: nothing below the element can
+        concern the lane but through its aggregate cover, so no other node
+        is built for the subtree.  Where the element is dead to the lane,
+        charge the open and close a parked lane pays.  Any other lane
+        reads below the element and refuses the span with a
+        ``TypeError``: its subtree cannot be delivered token by token.
+        """
+        tag = span.start.tag
+        transition = self.open(tag)
+        if self.subtree_dead():
+            self.close()
+            return
+        if not self.matcher.copies(transition, tag):
+            raise TypeError(
+                f"this query's lane takes no Span (a copied <{tag}>): it reads "
+                "below that element; feed it the document itself, or an "
+                "unguided token stream"
+            )
         node = self._stack[-1].buffer_node
         stats = self.buffer.stats
         stats.tokens_read += span.tokens - 2  # open() and close() count 2

@@ -41,7 +41,10 @@ composes the lanes' scan rows (:mod:`repro.stream.matcher`) into one guide
 for the shared tokenizer, so a subtree that every lane would park on is
 validated by the scanner but never built, and arrives as one
 :class:`~repro.xmlio.tokens.Skipped` that the dispatcher charges to the
-lanes exactly as the withheld open/park/close would have been.
+lanes exactly as the withheld open/park/close would have been.  A copy
+site that every other lane is dead at arrives as one
+:class:`~repro.xmlio.tokens.Span`: the copying lanes buffer it as their
+solo runs do, and the others are charged the open and close of a park.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ import threading
 from typing import Iterator, Sequence
 
 from repro.stream.preprojector import ProjectionLane
-from repro.xmlio.lexer import COPY, DEAD, scan_entry
+from repro.xmlio.lexer import COPY, DEAD, RunGuide, scan_entry
 from repro.xmlio.tokens import EndTag, Skipped, Span, StartTag, Text, Token
 
 __all__ = ["ProductGuide", "SharedPreprojector"]
@@ -75,11 +78,12 @@ class ProductGuide:
     lane needs every token below, so nothing can be skipped), and a lane
     that goes ``DEAD`` stays dead in the rows below until its element
     closes — :class:`SharedPreprojector`'s park rule, decided from the
-    lanes' static rows instead of their dynamic state.  A lane's COPY
-    entry counts as LIVE: the pass never delivers a
-    :class:`~repro.xmlio.tokens.Span`, so every lane receives a copy
-    site's element token by token, as its own evaluator expects from the
-    shared stream.  Retirement stays
+    lanes' static rows instead of their dynamic state.  A tag is COPY when
+    at least one lane's entry is COPY and every other lane's is ``DEAD``:
+    the scanner delivers one :class:`~repro.xmlio.tokens.Span`, which
+    the copying lanes buffer and the dead ones are charged as a park.  A
+    COPY entry beside a lane that still needs a child row there is LIVE:
+    that lane reads below the copy site.  Retirement stays
     dynamic and only makes the product conservative: a retired lane keeps
     vetoing skips it no longer needs.
 
@@ -104,16 +108,15 @@ class ProductGuide:
         return self._row(parts)
 
     def miss(self, row: _ProductRow, name_key: bytes) -> "tuple | object":
-        children = []  # per lane: its child row, or DEAD
+        children = []  # per lane: its child row, COPY or DEAD
         for guide, part in zip(self.guides, row.parts):
             entry = DEAD
             if part is not DEAD:
                 entry = part.get(name_key) or guide.miss(part, name_key)
             if entry is not DEAD:
                 entry = entry[5]
-                if entry is None or entry is COPY:
-                    # LIVE for this lane (a lane takes no copied span: its
-                    # element arrives LIVE here): LIVE for the pass.
+                if entry is None:
+                    # LIVE for this lane: LIVE for the pass.
                     children = None
                     break
             children.append(entry)
@@ -122,9 +125,24 @@ class ProductGuide:
         elif all(child is DEAD for child in children):
             entry = DEAD
         else:
-            entry = scan_entry(name_key, self._row(tuple(children)), row)
+            copiers = tuple(i for i, child in enumerate(children) if child is COPY)
+            if not copiers:
+                entry = scan_entry(name_key, self._row(tuple(children)), row)
+            elif all(child is COPY or child is DEAD for child in children):
+                # Field 8, past what the scanner reads: the copying lanes.
+                entry = scan_entry(name_key, COPY, row) + (copiers,)
+            else:
+                # A copying lane takes the subtree whole, another reads
+                # below it: both need every token.
+                entry = scan_entry(name_key, None, row)
         with self._lock:
             return row.setdefault(name_key, entry)
+
+    def for_run(self, stats: Sequence) -> "_ProductRun":
+        """The guide one pass's tokenizer reads: these rows, with each
+        copy fallback counted on the statistics (``stats``, one per lane,
+        in lane order) of every lane that was to copy the subtree."""
+        return _ProductRun(self, stats)
 
     def _row(self, parts: tuple) -> _ProductRow:
         # The lanes' rows are unhashable dicts, pinned by their matchers
@@ -137,12 +155,27 @@ class ProductGuide:
         return row
 
 
+class _ProductRun(RunGuide):
+    """One pass's view of a :class:`ProductGuide` (see
+    :class:`~repro.xmlio.lexer.RunGuide`): a copy fallback counts on each
+    lane the product entry was to copy for."""
+
+    __slots__ = ()
+
+    def copy_failed(self, entry: tuple) -> None:
+        for index in entry[8]:
+            self._stats[index].copy_fallbacks += 1
+
+
 class SharedPreprojector:
     """One tokenizer scan dispatched to N projection lanes.
 
     Every member query's evaluator pulls this pump directly: a pull by any
     of them reads one token and dispatches it to every active lane, so
-    demand from any query fills all queries' buffers.
+    demand from any query fills all queries' buffers.  A
+    :class:`~repro.xmlio.tokens.Span` goes to every active lane's
+    :meth:`~repro.stream.preprojector.ProjectionLane.copied`, which
+    buffers it, charges it as a park, or refuses it.
     """
 
     def __init__(self, tokens: Iterator[Token], lanes: list[ProjectionLane]) -> None:
@@ -257,13 +290,12 @@ class SharedPreprojector:
             for index in active:
                 lanes[index].skipped(2 * roots, roots)
         elif isinstance(token, Span):
-            # The product guide makes every COPY row LIVE, so a span here
-            # was scanned under another guide (one query's own matcher):
-            # its subtree cannot be dispatched token by token.
-            raise TypeError(
-                f"a shared pass takes no Span (a copied <{token.start.tag}>): "
-                "feed it the document itself, or an unguided token stream"
-            )
+            # A copy site every other lane is dead at: each copying lane
+            # buffers the span, each dead one is charged a parked
+            # open/close, and any other lane refuses it.
+            self.tokens_read += token.tokens - 1  # one was counted above
+            for index in active:
+                lanes[index].copied(token)
         else:
             raise TypeError(
                 f"the shared preprojector takes no {type(token).__name__} token"

@@ -234,8 +234,9 @@ class RunGuide:
         self.miss = guide.miss
         self._stats = stats
 
-    def copy_failed(self) -> None:
-        """The scanner could not copy a COPY subtree and delivers it LIVE."""
+    def copy_failed(self, entry: tuple) -> None:
+        """The scanner could not copy the subtree of ``entry`` (a COPY
+        entry of one of the guide's rows) and delivers it LIVE."""
         self._stats.copy_fallbacks += 1
 
 
@@ -379,8 +380,9 @@ class XMLTokenizer:
         Dead subtrees are validated like any other input but delivered as
         :class:`~repro.xmlio.tokens.Skipped` counts instead of tokens.  A
         guide whose entries say :data:`COPY` also provides
-        ``copy_failed()``, called whenever such a subtree arrives LIVE
-        (a :class:`RunGuide` counts them on one run's statistics).
+        ``copy_failed(entry)``, called with the COPY entry whenever its
+        subtree arrives LIVE (a :class:`RunGuide` counts them on one
+        run's statistics).
     """
 
     def __init__(
@@ -695,7 +697,7 @@ class XMLTokenizer:
                             continue
                         child_row = entry[5]
                         if child_row is COPY:
-                            copied = self._emit_copy(pos, construct, entry[4])
+                            copied = self._emit_copy(pos, construct, entry)
                             if copied >= 0:
                                 pos = copied
                                 continue
@@ -804,11 +806,11 @@ class XMLTokenizer:
                 self._out.append(Skipped(tokens, dropped, roots))
         return pos
 
-    def _emit_copy(self, pos: int, construct: tuple, start: StartTag) -> int:
+    def _emit_copy(self, pos: int, construct: tuple, entry: tuple) -> int:
         """COPY: deliver the subtree at ``pos`` as one :class:`Span`, or bail.
 
-        Entered with the row of a start tag whose entry is :data:`COPY`
-        and the entry's interned ``start`` tag, which the span carries.
+        Entered with the row of a start tag and its :data:`COPY` entry,
+        whose interned start tag the span carries.
         What the serializer would write for the subtree's tokens is
         assembled as it is read: a run of input already in that canonical
         form stays one slice, and only what is not — ``<a></a>`` (written
@@ -913,13 +915,13 @@ class XMLTokenizer:
                     if run < pos:
                         put(data[run:pos])
                     text = b"".join(parts).decode("utf-8")
-                    self._out.append(Span(text, tokens, start))
+                    self._out.append(Span(text, tokens, entry[4]))
                     return pos
                 construct = read(pos, closers[-1])
         except (XMLSyntaxError, UnicodeDecodeError):
             pass
         # Budget spent, or a bail above: nothing consumed.
-        self._guide.copy_failed()
+        self._guide.copy_failed(entry)
         return -1
 
     def _miss(self, row: dict, name_key: bytes):
@@ -942,7 +944,7 @@ class XMLTokenizer:
                 continue
             if entry[5] is COPY:
                 # A match spelled as an attribute has no subtree to copy.
-                self._guide.copy_failed()
+                self._guide.copy_failed(entry)
             append(entry[4])
             if attr_value:
                 append(Skipped(1, 1, 0) if entry[7] else LazyText(attr_value))

@@ -29,8 +29,8 @@ from repro.engine import EngineOptions, GCXEngine, MultiQuerySession, QuerySessi
 from repro.xmark.queries import XMARK_QUERIES
 from repro.xmlio import text_decode_count
 from repro.xmlio.filelexer import FileTokenizer
-from repro.xmlio.lexer import BATCH_BYTES, tokenize
-from repro.xmlio.tokens import Span
+from repro.xmlio.lexer import BATCH_BYTES, XMLSyntaxError, tokenize
+from repro.xmlio.tokens import Skipped, Span
 
 from tests.engine.test_direct import outcome
 from tests.xmlio.test_copy_scan import damaged
@@ -271,10 +271,197 @@ class TestCopySites:
         unguided = GCXEngine().run(XMARK_QUERIES[name].adapted, tokenize(xmark))
         assert result.stats.tokens_read == unguided.stats.tokens_read
 
-    def test_the_shared_pass_copies_nothing(self, xmark):
-        """A lane's COPY entry is LIVE for the shared pass."""
+    @pytest.mark.parametrize("name", ["Q6", "Q13"])
+    def test_the_shared_pass_copies_where_every_other_lane_is_dead(
+        self, name, xmark
+    ):
+        """Q1 is dead below ``/site/regions``: each copy site arrives as one
+        span, taken by the copying lane alone, which then builds what its
+        solo run builds."""
+        queries = {other: XMARK_QUERIES[other].adapted for other in ("Q1", name)}
+        results = MultiQuerySession(queries).run(xmark)
+        for other, result in results.items():
+            assert result.output == golden(other)
+        solo = GCXEngine().run(queries[name], xmark).stats
+        mine = results[name].stats
+        assert mine.tokens_copied == solo.tokens_copied > 0
+        assert mine.nodes_created == solo.nodes_created
+        assert mine.copy_fallbacks == solo.copy_fallbacks == 0
+        assert results["Q1"].stats.tokens_copied == 0
+
+    def test_a_lane_reading_below_a_copy_site_keeps_it_live(self, xmark):
+        """Q13 reads the australia items Q6 copies, so those arrive token by
+        token for both lanes; Q6 still copies every other item, and Q13's
+        descriptions, inside items Q6 needs LIVE, are not copied."""
         queries = {name: XMARK_QUERIES[name].adapted for name in ("Q1", "Q6", "Q13")}
         results = MultiQuerySession(queries).run(xmark)
         for name, result in results.items():
             assert result.output == golden(name)
-            assert result.stats.tokens_copied == 0
+        solo = GCXEngine().run(queries["Q6"], xmark).stats
+        assert 0 < results["Q6"].stats.tokens_copied < solo.tokens_copied
+        assert results["Q13"].stats.tokens_copied == 0
+        assert results["Q1"].stats.tokens_copied == 0
+
+
+# ---------------------------------------------------------------------------
+# the shared pass: a copy site every other lane is dead at
+# ---------------------------------------------------------------------------
+
+
+def covered(tokens) -> tuple[list[tuple[int, int]], set[tuple[int, int]]]:
+    """Where a guided stream stands for more than one unguided token, in
+    unguided token positions: its ``Skipped`` and its ``Span`` intervals."""
+    skipped: list[tuple[int, int]] = []
+    spans: set[tuple[int, int]] = set()
+    at = 0
+    for token in tokens:
+        count = getattr(token, "tokens", 1)
+        if isinstance(token, Span):
+            spans.add((at, at + count))
+        elif isinstance(token, Skipped):
+            skipped.append((at, at + count))
+        at += count
+    return skipped, spans
+
+
+def dead_over(skipped: list[tuple[int, int]], start: int, end: int) -> bool:
+    """Do the (sorted, disjoint) skipped intervals cover ``[start, end)``?"""
+    for low, high in skipped:
+        if low <= start < high:
+            start = high
+        if start >= end:
+            return True
+    return False
+
+
+def copied_alone(name: str, members: dict, document: str) -> bool:
+    """Is every site ``name``'s solo run copies dead to every other member,
+    or copied by it too?  Decided from the members' own guided scans, not
+    from the shared pass's product guide."""
+    scans = {
+        member: covered(
+            tokenize(document, guide=QuerySession(query).runtime.matcher())
+        )
+        for member, query in members.items()
+    }
+    sites = scans[name][1]
+    return all(
+        site in spans or dead_over(skipped, *site)
+        for member, (skipped, spans) in scans.items()
+        if member != name
+        for site in sites
+    )
+
+
+GOLDEN_NAMES = sorted(XMARK_QUERIES)
+
+#: The copy-site queries and one that leaves every ``<a>`` dead.
+SHARED_MEMBERS = dict(QUERIES, hits="<o>{for $x in /r/c return <hit/>}</o>")
+
+
+def shared_outcomes(members: dict, source) -> dict[str, tuple[str, str | None]]:
+    """Each member's (output, error) from one shared pass over ``source``.
+
+    A member whose run completed has no error; every other member's
+    output stops where the pass raised, followed by the pass's error."""
+    stream = MultiQuerySession(members).run_streaming(source)
+    tokens: dict[str, list] = {name: [] for name in members}
+    error = None
+    try:
+        for name, token in stream:
+            tokens[name].append(token)
+    except (XMLSyntaxError, UnicodeDecodeError) as raised:
+        error = raised
+
+    def replay(name: str):
+        yield from tokens[name]
+        if name not in stream.results:
+            raise error
+
+    return {name: outcome(replay(name)) for name in members}
+
+
+def assert_shared_like_solo(members: dict, document: bytes) -> None:
+    """A shared pass over ``document``, whose product guide copies sites
+    every other member is dead at, against each member's solo run and
+    against the same pass fed the unguided stream, which copies nothing.
+
+    A member that completes gives its solo run's output, and the
+    unguided pass's where that completes too.  When the pass
+    fails, it fails with the error the unguided pass raises, which is one
+    member's solo error, and every member still open has written a prefix
+    of its solo output: the pass stops at the first member's error."""
+    shared = shared_outcomes(members, document)
+    unguided = shared_outcomes(members, tokenize(document))
+    solo = {
+        name: outcome(QuerySession(query).run_streaming(document))
+        for name, query in members.items()
+    }
+    raised = {error for _output, error in shared.values()} - {None}
+    assert raised == {error for _output, error in unguided.values()} - {None}
+    assert raised <= {error for _output, error in solo.values()}
+    for name, (output, error) in shared.items():
+        if error is None:
+            assert (output, error) == solo[name], name
+            if unguided[name][1] is None:
+                assert output == unguided[name][0], name
+        else:
+            assert solo[name][0].startswith(output), name
+
+
+class TestSharedCopy:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sets(st.sampled_from(GOLDEN_NAMES), min_size=1))
+    def test_a_member_copies_what_no_other_member_reads(self, names):
+        """Every member's output is its solo run's; a member whose copy
+        sites no other member reads builds and copies what its solo run
+        does, and one whose sites another member reads copies less."""
+        document = (GOLDENS / "document.xml").read_text(encoding="utf-8")
+        members = {name: XMARK_QUERIES[name].adapted for name in sorted(names)}
+        results = MultiQuerySession(members).run(document)
+        for name, query in members.items():
+            solo = QuerySession(query).run(document)
+            mine = results[name]
+            assert mine.output == solo.output == golden(name)
+            figures = ("nodes_created", "tokens_copied", "copy_fallbacks")
+            if copied_alone(name, members, document):
+                for figure in figures:
+                    assert getattr(mine.stats, figure) == getattr(solo.stats, figure)
+            else:
+                assert mine.stats.tokens_copied < solo.stats.tokens_copied
+
+    @pytest.mark.parametrize(
+        "site",
+        [BIG, b"<a><a>nested</a></a>"],
+        ids=["larger-than-a-batch", "nested-same-name"],
+    )
+    def test_copy_fallbacks_count_alike(self, site):
+        """A site the scanner cannot copy arrives LIVE, and counts one
+        fallback on the copying lane, as in its solo run."""
+        document = b"<r>" + site + b"<a><b>1</b></a><q>x</q></r>"
+        members = {
+            "copying": QUERIES["child"],
+            "dead": "<o>{for $x in /r/q return $x/text()}</o>",
+        }
+        results = MultiQuerySession(members).run(document)
+        for name, query in members.items():
+            solo = QuerySession(query).run(document)
+            assert results[name].output == solo.output
+            assert results[name].output == NaiveDomEngine().run(query, document).output
+            assert results[name].stats.copy_fallbacks == solo.stats.copy_fallbacks
+            assert results[name].stats.tokens_copied == solo.stats.tokens_copied
+        assert results["copying"].stats.copy_fallbacks == 1
+        assert results["copying"].stats.tokens_copied == 5  # the second <a>
+
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(
+        document=copy_documents(),
+        names=st.sets(st.sampled_from(sorted(SHARED_MEMBERS)), min_size=1),
+        data=st.data(),
+    )
+    def test_generated_and_damaged_documents(self, document, names, data):
+        members = {name: SHARED_MEMBERS[name] for name in sorted(names)}
+        assert_shared_like_solo(members, document)
+        assert_shared_like_solo(members, damaged(document, data))

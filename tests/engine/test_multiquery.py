@@ -125,19 +125,16 @@ class TestDifferentialConformance:
 
         Without a schema every front-end runs the same buffered pipeline,
         so the buffer high watermark agrees too (raw bytes, the unit
-        PoolResult reports) — with the solo run of the same input where
-        the front-end is solo, and with a solo run fed pre-tokenised input
-        where it is a shared pass: neither of those copies a copy site's
-        subtree whole.  With the schema a solo run of a certified query
+        PoolResult reports) with the solo run of the same document: a
+        one-lane shared pass copies each copy site whole exactly where the
+        solo run does.  With the schema a solo run of a certified query
         goes direct while a multi session keeps the generic evaluator:
         only the output is comparable."""
         query = XMARK_QUERIES[name].adapted
         result = FRONT_ENDS[front_end](query, document, schema)
         assert result.output == golden(name)
         if schema is None:
-            shared = front_end in ("MultiQuerySession.run", "SessionPool.map_multi")
-            source = tokenize(document) if shared else document
-            solo = QuerySession(query).run(source)
+            solo = QuerySession(query).run(document)
             assert buffer_figures(result) == buffer_figures(solo)
 
 
@@ -195,6 +192,24 @@ class TestSingleScanInvariant:
 
 
 class TestRunMachinery:
+    def test_a_member_answered_from_its_buffer_keeps_its_turn(self, document):
+        """Queries whose data is already buffered drain it before more
+        input is read: a member whose token read nothing from the shared
+        stream is asked for its next one too."""
+        stream = MultiQuerySession(all_queries()).run_streaming(document)
+        read = 0
+        kept = None  # the member whose last token read no input
+        turns_kept = 0
+        for name, _token in stream:
+            if kept is not None and kept not in stream.results:
+                assert name == kept
+                turns_kept += 1
+            now = stream.stats.tokens_read
+            kept = name if now == read else None
+            read = now
+        assert turns_kept > 0
+        assert set(stream.results) == set(all_queries())
+
     def test_streaming_yields_interleaved_named_tokens(self, document):
         session = MultiQuerySession(
             {"Q1": XMARK_QUERIES["Q1"].adapted, "Q13": XMARK_QUERIES["Q13"].adapted}

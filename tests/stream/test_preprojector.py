@@ -46,6 +46,26 @@ class TestIncrementality:
         with pytest.raises(TypeError, match="takes no Token token"):
             pp.pull()
 
+    def test_a_span_the_lane_does_not_copy_is_refused(self):
+        """A stream scanned under a copying query's guide carries its copy
+        sites as Spans; a query that reads below them refuses each one
+        rather than lose its subtree, and a query dead there takes it as
+        the open and close it would have skipped."""
+        from repro.engine import QuerySession
+
+        document = "<r><b><c>x</c></b><b>y</b></r>"
+        copying = QuerySession("<o>{for $b in /r/b return $b}</o>")
+
+        def foreign():
+            return iter(tokenize(document, guide=copying.runtime.matcher()))
+
+        reading = QuerySession("<o>{for $b in /r/b return <hit/>}</o>")
+        with pytest.raises(TypeError, match=r"no Span \(a copied <b>\)"):
+            reading.run(foreign())
+        dead = QuerySession("<o>{for $z in /r/z return <hit/>}</o>")
+        assert dead.run(foreign()).output == "<o/>"
+        assert copying.run(foreign()).output == "<o><b><c>x</c></b><b>y</b></o>"
+
     def test_document_finished_at_eof(self):
         _c, buffer, pp = projector_for(INTRO_QUERY, "<bib/>")
         pp.run_to_completion()

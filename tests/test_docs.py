@@ -71,6 +71,24 @@ class TestDocSymbols:
         assert failures[0].startswith("docs/STALE.md:1 names `LaneView`")
         assert failures[1].startswith("docs/STALE.md:1 names `Evaluator._stream_node`")
 
+    def test_a_missing_bare_call_is_reported(self, tmp_path, monkeypatch):
+        """A stale ``name()`` fails; a defined one, a builtin and the XQuery
+        node tests pass, and a ``Class.member()`` is the member check's."""
+        doc = tmp_path / "docs" / "STALE.md"
+        doc.parent.mkdir()
+        doc.write_text(
+            "`run_sink()` is gone; `finish_document()` and `len()` are not,\n"
+            "`$x/text()` and `dos::node()` are node tests, `text()` too;\n"
+            "`SessionPool.run_streaming()` is inherited.\n",
+            encoding="utf-8",
+        )
+        for root in check_docs.SYMBOL_ROOTS:
+            (tmp_path / root).symlink_to(REPO / root)
+        monkeypatch.setattr(check_docs, "REPO", tmp_path)
+        failures = check_docs.check_doc_symbols()
+        assert len(failures) == 1
+        assert failures[0].startswith("docs/STALE.md:1 names `run_sink()`")
+
 
 class TestReadmeStructure:
     def test_console_blocks_present(self):

@@ -12,7 +12,9 @@ then reads it every way the scanner can:
   tokens;
 
 each whole and through :class:`~repro.xmlio.filelexer.FileTokenizer` at
-16-, 17- and 64-byte chunks.  A malformed mutant must fail the same way on
+16-, 17- and 64-byte chunks.  A shared pass whose product guide copies
+where one member copies and every other is dead reads XMark mutants too,
+each member held to its solo run.  A malformed mutant must fail the same way on
 every route: the same message, offset, line and column, after the same
 tokens.  Cases are seeded, so a failure names its mutant.
 """
@@ -35,6 +37,7 @@ from repro.xmark.schema import xmark_schema
 from repro.xmlio.filelexer import FileTokenizer
 from repro.xmlio.lexer import tokenize
 
+from tests.engine.test_buffered_copy import assert_shared_like_solo
 from tests.xmlio._reference_lexer import reference_tokenize
 from tests.xmlio.test_copy_scan import DTD as COPY_DTD
 from tests.xmlio.test_copy_scan import QUERIES as COPY_QUERIES
@@ -155,3 +158,14 @@ def test_adversarial_mutants(seed, small_guides):
     dead, copy = small_guides()
     source = rng.choice(ADVERSARIAL_DOCUMENTS).encode()
     assert_every_route_agrees(mutate(source, rng), dead, copy)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_shared_pass_mutants(seed):
+    """Q6's items are copy sites: the product guide copies those every
+    member beside it is dead at, and keeps LIVE those one of them reads
+    below (Q13, the australia items)."""
+    rng = random.Random(seed)
+    names = sorted({"Q6", *rng.sample(STANDING_MIX, 3)})
+    members = {name: XMARK_QUERIES[name].adapted for name in names}
+    assert_shared_like_solo(members, mutate(XMARK_DOCUMENT, rng))

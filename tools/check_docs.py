@@ -11,11 +11,13 @@ Five checks, all stdlib-only:
 4. docs/PERFORMANCE.md stays in sync with the benchmark and the hot path
    it describes: every workload and every end-to-end metric declared in
    ``BENCHMARK.json``, and every tokenizer tuning knob, must be mentioned;
-5. the docs name only symbols that exist: every backticked CamelCase name
-   and every ``Class.member`` in docs/*.md, README.md and
+5. the docs name only symbols that exist: every backticked CamelCase name,
+   ``Class.member`` and bare ``name()`` in docs/*.md, README.md and
    examples/README.md resolves to a class, function or attribute defined
    under src/, tests/, benchmarks/ or examples/ (members through base
-   classes), a Python builtin, or an entry of :data:`SYMBOL_ALLOWLIST`.
+   classes), a Python builtin, or an entry of :data:`SYMBOL_ALLOWLIST`
+   (a ``name()`` may also be an XQuery node test, ``text()`` or
+   ``node()``).
 
 Exit status 0 when everything passes; each failure is reported and the
 script exits 1.
@@ -129,6 +131,9 @@ _EXTERNAL = frozenset(dir(builtins)) | SYMBOL_ALLOWLIST
 _CODE_SPAN = re.compile(r"`([^`\n]+)`")
 _CAPITALISED = re.compile(r"(?<![\w.])[A-Z]\w*")
 _MEMBER = re.compile(r"(?<![\w.])([A-Z]\w*)\.(\w+)")
+_CALLED = re.compile(r"(?<![\w.])([A-Za-z_]\w*)\(\)")
+#: XQuery node tests, spelled like calls: ``$x/text()``, ``dos::node()``.
+_NODE_TESTS = frozenset({"text", "node"})
 #: ``Name.suffix`` spelling a file name (``BENCHMARK.json``), not a member.
 _FILE_SUFFIXES = frozenset(
     {"json", "jsonl", "md", "py", "xq", "dtd", "xml", "txt", "yml", "toml"}
@@ -209,8 +214,8 @@ def _class_members(node: ast.ClassDef) -> set[str]:
 
 
 def check_doc_symbols() -> list[str]:
-    """Backticked CamelCase names and ``Class.member`` spellings in the docs
-    must name something the repository defines."""
+    """Backticked CamelCase names, ``Class.member`` and bare ``name()``
+    spellings in the docs must name something the repository defines."""
     index = _SymbolIndex(SYMBOL_ROOTS)
     failures = []
     docs = sorted({path for pattern in SYMBOL_DOCS for path in REPO.glob(pattern)})
@@ -229,6 +234,11 @@ def check_doc_symbols() -> list[str]:
                     word
                     for word in _CAPITALISED.findall(span)
                     if _is_camel_case(word) and word not in index.names
+                ]
+                unknown += [
+                    f"{name}()"
+                    for name in _CALLED.findall(span)
+                    if name not in _NODE_TESTS and name not in index.names
                 ]
                 failures += [
                     f"{path.relative_to(REPO)}:{lineno} names `{symbol}`, which "
