@@ -7,7 +7,11 @@ query from :mod:`repro.xmark.queries` over it.  Every query runs three
 ways — fresh session, recycled session, and through a shared
 :class:`~repro.engine.pool.SessionPool` — and all must stay byte-identical
 to the committed bytes, giving matcher/buffer refactors an end-to-end
-oracle beyond the unit level.
+oracle beyond the unit level.  ``goldens/counters.json`` pins each query's
+deterministic ``BufferStats`` counters as well (reads, buffered nodes,
+high watermarks, hold time, flushes, signOffs, GC calls), so a refactor
+of how the evaluator walks the buffer must keep the same input reads in
+the same order, not only the same bytes.
 
 To regenerate after an *intentional* semantics change::
 
@@ -16,6 +20,8 @@ To regenerate after an *intentional* semantics change::
 
 from __future__ import annotations
 
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,6 +31,9 @@ from repro.xmark.queries import XMARK_QUERIES
 
 GOLDENS = Path(__file__).parent / "goldens"
 QUERY_NAMES = sorted(XMARK_QUERIES)
+
+sys.path.insert(0, str(GOLDENS))
+from regenerate import counters  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +62,13 @@ class TestGoldenConformance:
         assert session.run(document).output == expected(name)
         # A recycled (warm buffer, warm matcher) run must not drift.
         assert session.run(document).output == expected(name)
+
+    @pytest.mark.parametrize("name", QUERY_NAMES)
+    def test_counters_match_golden(self, name, document):
+        pinned = json.loads((GOLDENS / "counters.json").read_text("utf-8"))
+        session = QuerySession(XMARK_QUERIES[name].adapted)
+        assert counters(session.run(document).stats) == pinned[name]
+        assert counters(session.run(document).stats) == pinned[name]
 
     @pytest.mark.parametrize("name", QUERY_NAMES)
     def test_pooled_evaluation_matches_golden(self, name, document):
