@@ -24,7 +24,8 @@ from repro.engine.evaluator import _compare
 from repro.engine.gcx import RunResult
 from repro.xmlio.serialize import StringSink
 from repro.xmlio.tokens import EndTag, StartTag, Text
-from repro.xmlio.tree import DocumentNode, ElementNode, TextNode, XMLNode, parse_tree
+from repro.xmlio.tree import DocumentNode, ElementNode, TextNode, XMLNode
+from repro.xmlio.tree import parse_tree, tree_tokens
 from repro.engine.relops.aggregates import format_number
 from repro.xquery.ast import (
     Aggregate,
@@ -218,15 +219,11 @@ class _Interp:
             yield node.string_value()
 
     def _output(self, node: XMLNode) -> None:
-        if isinstance(node, TextNode):
-            self.sink.write(Text(node.content))
-        elif isinstance(node, ElementNode):
-            self.sink.write(StartTag(node.tag))
-            for child in node.children:
-                self._output(child)
-            self.sink.write(EndTag(node.tag))
-        else:
+        if isinstance(node, DocumentNode):
             raise TypeError("cannot output the document node")
+        write = self.sink.write
+        for token in tree_tokens(node):
+            write(token)
 
 
 def iter_path(context: XMLNode, path: Path) -> Iterator[XMLNode]:

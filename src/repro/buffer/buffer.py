@@ -258,8 +258,10 @@ class BufferTree:
             self.cancellations.pop(member, None)
             for listener in self._purge_listeners:
                 listener(member)
+            # Detached even when not parked: a cursor resuming over a purged
+            # subtree detects it at any depth (BufferNode.descendants).
+            member.parent = None
             if len(free) < FREE_LIST_CAP:
-                member.parent = None
                 member.prev_sibling = None
                 member.next_sibling = None
                 member.first_child = None
@@ -332,20 +334,17 @@ class BufferTree:
     def format_contents(self) -> list[str]:
         """Render buffer contents like Figure 2: ``tag{r2,r5}`` per node."""
         lines: list[str] = []
-
-        def walk(node: BufferNode, depth: int) -> None:
-            for child in node.children():
-                if child.kind == TEXT:
-                    label = f'"{child.text}"'
-                else:
-                    label = self.tag_name(child.tag_id)
-                roles = child.roles.as_names() + [
-                    name + "*" for name in child.aggregate_roles.as_names()
-                ]
-                suffix = "{" + ",".join(roles) + "}" if roles else "{}"
-                marker = " (deleted)" if child.marked_deleted else ""
-                lines.append("  " * depth + label + suffix + marker)
-                walk(child, depth + 1)
-
-        walk(self.document, 0)
+        depths = {self.document: -1}
+        for node in self.document.descendants():
+            depth = depths[node] = depths[node.parent] + 1
+            if node.kind == TEXT:
+                label = f'"{node.text}"'
+            else:
+                label = self.tag_name(node.tag_id)
+            roles = node.roles.as_names() + [
+                name + "*" for name in node.aggregate_roles.as_names()
+            ]
+            suffix = "{" + ",".join(roles) + "}" if roles else "{}"
+            marker = " (deleted)" if node.marked_deleted else ""
+            lines.append("  " * depth + label + suffix + marker)
         return lines

@@ -24,7 +24,7 @@ does not spell this out but its localized GC requires constant-time unlink.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.analysis.roles import RoleSet
 from repro.xmlio.tokens import Span
@@ -149,31 +149,107 @@ class BufferNode:
         self.prev_sibling = None
         self.next_sibling = None
 
-    def children(self) -> Iterator["BufferNode"]:
-        node = self.first_child
-        while node is not None:
-            yield node
-            node = node.next_sibling
+    def descendants(
+        self,
+        pull: Optional[Callable[[], bool]] = None,
+        keep: Optional[Callable[["BufferNode"], bool]] = None,
+        depth: Optional[int] = None,
+        skip_marked: bool = False,
+    ) -> Iterator["BufferNode"]:
+        """The nodes below this one in document order: the one resumable
+        pre-order cursor every walk over the buffer goes through.
 
-    def iter_subtree(self) -> Iterator["BufferNode"]:
-        """This node and all descendants, in document order."""
-        yield self
-        child = self.first_child
-        while child is not None:
-            yield from child.iter_subtree()
-            child = child.next_sibling
+        ``keep`` filters what is yielded (never twice), ``depth`` bounds the
+        walk (1: the children) and ``skip_marked`` leaves marked-deleted
+        subtrees out.  With ``pull`` (which implies ``skip_marked``) the
+        walk calls it, ending when it returns False, wherever it has seen
+        all that arrived below an unfinished element or stands at a marked
+        node (one is unfinished: a role arriving below may un-mark it).
+        Without ``pull`` the buffer must not change under the walk.
 
-    def descendants(self) -> Iterator["BufferNode"]:
-        child = self.first_child
-        while child is not None:
-            yield from child.iter_subtree()
-            child = child.next_sibling
-
-    def ancestors(self) -> Iterator["BufferNode"]:
-        node = self.parent
-        while node is not None:
-            yield node
-            node = node.parent
+        ``chain`` is the path of open frames, ``last`` the last visited
+        child of the deepest.  While a pulling walk is suspended the
+        collector may purge or mark nodes: a purged frame (detached, or
+        recycled under a new seq) is dropped and the walk goes on in the
+        nearest live frame after it, by seq, since children are in seq
+        order; a marked frame is waited at, then walked again once
+        un-marked, skipping what was yielded.
+        """
+        skip = skip_marked or pull is not None
+        chain: list[BufferNode] = [self]
+        seqs = [self.seq]
+        last: Optional[BufferNode] = None
+        last_seq = 0
+        done = -1  # seq of the last node yielded
+        bound = 0  # deepest frame holding a role (0: the walk's root)
+        level = 1  # len(chain)
+        while True:
+            nxt = chain[-1].first_child if last is None else last.next_sibling
+            if nxt is None:
+                if pull is None or chain[-1].finished:
+                    if level == 1:
+                        return
+                    last = chain.pop()
+                    last_seq = seqs.pop()
+                    level -= 1
+                    continue
+                if not pull():
+                    return
+            elif skip and nxt.marked_deleted:
+                if pull is None:
+                    last = nxt
+                    continue
+                if not pull():
+                    return
+            else:
+                last = nxt
+                seq = last_seq = nxt.seq
+                if nxt.kind != TEXT and level != depth:
+                    chain.append(nxt)
+                    seqs.append(seq)
+                    last = None
+                    level += 1
+                if seq <= done or (keep is not None and not keep(nxt)):
+                    continue
+                done = seq
+                yield nxt
+                if pull is None:
+                    continue
+            # A pulling walk resumed, after a pull or a yield.
+            if level > 1:
+                # Drop purged frames: a purge detaches every node it
+                # takes, so a live deepest frame means every frame is live.
+                while level > 1 and (
+                    chain[-1].parent is None or chain[-1].seq != seqs[-1]
+                ):
+                    last = chain.pop()
+                    last_seq = seqs.pop()
+                    level -= 1
+                # A marked node holds no role in its subtree, and marking
+                # climbs to the first ancestor that holds one: if any
+                # frame is marked, the shallowest roleless frame is.
+                top = level - 1
+                if bound > top:
+                    bound = top
+                while bound and not chain[bound].subtree_roles:
+                    bound -= 1
+                while bound < top and chain[bound + 1].subtree_roles:
+                    bound += 1
+                if bound < top and chain[bound + 1].marked_deleted:
+                    last = chain[bound + 1].prev_sibling
+                    last_seq = 0 if last is None else last.seq
+                    del chain[bound + 1 :]
+                    del seqs[bound + 1 :]
+                    level = bound + 1
+                    continue
+            if last is not None and (last.parent is None or last.seq != last_seq):
+                child = chain[-1].first_child
+                last = None
+                while child is not None and child.seq <= last_seq:
+                    last = child
+                    child = child.next_sibling
+                if last is not None:
+                    last_seq = last.seq
 
     # -- role / GC predicates ---------------------------------------------
 
@@ -186,18 +262,15 @@ class BufferNode:
         """
         return self.subtree_roles == 0
 
-    @property
-    def live(self) -> bool:
-        return not self.marked_deleted
-
     # -- values ------------------------------------------------------------
 
     def string_value(self) -> str:
         """Concatenated text content of the subtree (document order)."""
         if self.kind == TEXT:
             return self.text
-        parts = [node.text for node in self.iter_subtree() if node.kind == TEXT]
-        return "".join(parts)
+        return "".join(
+            [node.text for node in self.descendants() if node.kind == TEXT]
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = {DOC: "doc", ELEMENT: "elem", TEXT: "text"}[self.kind]

@@ -22,12 +22,12 @@ Input arrives through ``pull``, the step of the run's pump (a solo run's
 pass's :class:`~repro.stream.shared.SharedPreprojector`): one token into
 the buffer, False once the input is exhausted.
 
-Iteration discipline: for-loop cursors remember the sequence number of the
-last binding and rescan from the context node, so garbage collection may
-purge already-processed siblings without invalidating iteration.  Nodes
-marked deleted are transparent: they are never yielded (they are logically
-absent) but are traversed, because unfinished marked nodes may still gain
-relevant descendants.
+Iteration discipline: every step walk, pulling or over buffered data only,
+is the buffer's one resumable pre-order cursor (``BufferNode.descendants``):
+it resumes after the last node it yielded, surviving garbage collection
+under it, so a walk visits each node once however deep.  Marked-deleted
+subtrees are skipped; being unfinished, a marked node may be un-marked by a
+role arriving below, so a pulling cursor waits at it and then walks it.
 """
 
 from __future__ import annotations
@@ -101,6 +101,10 @@ class Evaluator:
         self.query = query
         self.buffer = buffer
         self._pull = pull
+        # Per step: (step, node-test predicate, cursor depth).  Keyed by id,
+        # as hashing a Step costs more than a short walk; holding the step
+        # keeps its id from being reused.
+        self._keeps: dict[int, tuple[Step, Callable, int | None]] = {}
         self.aggregate = aggregate_roles
         self.execute_signoffs = execute_signoffs
         self.on_event = on_event
@@ -311,7 +315,7 @@ class Evaluator:
         self._ensure_finished(context)
         index = JoinIndex()
         stats = self.buffer.stats
-        for node in self._buffered_step(context, expr.path[0]):
+        for node in self._iter_step(context, expr.path[0], buffered=True):
             keys = set()
             for target in self._iter_path(node, site.inner_path):
                 keys.add(canon_key(target.string_value()))
@@ -391,8 +395,8 @@ class Evaluator:
         operands lazily and returning at that witness means a satisfied
         condition stops pulling input immediately — the conservative
         version above materializes the left operand, which drags the scan
-        to the end of the binding's subtree (every ``_iter_children``
-        cursor runs until its context is finished).  A false result still
+        to the end of the binding's subtree (every step cursor runs until
+        its context is finished).  A false result still
         drains both operands, exactly like the conservative path, so the
         boolean — and therefore the output — is identical either way.  An
         empty left operand is decided false before the right one is read,
@@ -497,78 +501,21 @@ class Evaluator:
             return None
         return node
 
-    def _iter_step(self, context: BufferNode, step: Step) -> Iterator[BufferNode]:
-        if step.axis is Axis.CHILD:
-            yield from self._iter_children(context, step)
-        elif step.axis is Axis.DESCENDANT:
-            yield from self._iter_descendants(context, step)
-        else:  # DOS: self and descendants
-            if _matches(context, step, self.buffer):
-                yield context
-            yield from self._iter_descendants(context, step)
-
-    def _iter_children(self, context: BufferNode, step: Step) -> Iterator[BufferNode]:
-        last_seq = -1
-        while True:
-            found: BufferNode | None = None
-            child = context.first_child
-            while child is not None:
-                if (
-                    child.seq > last_seq
-                    and not child.marked_deleted
-                    and _matches(child, step, self.buffer)
-                ):
-                    found = child
-                    break
-                child = child.next_sibling
-            if found is not None:
-                last_seq = found.seq
-                yield found
-                continue
-            if context.finished:
-                return
-            if not self._pull():
-                return
-
-    def _iter_descendants(
-        self, context: BufferNode, step: Step
+    def _iter_step(
+        self, context: BufferNode, step: Step, *, buffered: bool = False
     ) -> Iterator[BufferNode]:
-        last_seq = -1
-        while True:
-            found = self._scan_descendants(context, step, last_seq)
-            if found is not None:
-                last_seq = found.seq
-                yield found
-                continue
-            if context.finished:
-                return
-            if not self._pull():
-                return
-
-    def _scan_descendants(
-        self, context: BufferNode, step: Step, last_seq: int
-    ) -> BufferNode | None:
-        """First descendant (document order) with seq > last_seq matching.
-
-        Iterative pre-order walk: ``stack`` holds the ancestors whose next
-        sibling is still to be visited, so depth costs no Python frames.
-        """
-        buffer = self.buffer
-        stack: list[BufferNode] = []
-        child = context.first_child
-        while True:
-            if child is None:
-                if not stack:
-                    return None
-                child = stack.pop().next_sibling
-                continue
-            if not child.marked_deleted:
-                if child.seq > last_seq and _matches(child, step, buffer):
-                    return child
-                stack.append(child)
-                child = child.first_child
-                continue
-            child = child.next_sibling
+        """``step``'s matches from ``context`` in document order, pulling
+        until the context is finished unless ``buffered`` (signOff, join
+        builds: what is buffered now)."""
+        entry = self._keeps.get(id(step))
+        if entry is None:
+            depth = 1 if step.axis is Axis.CHILD else None
+            entry = self._keeps[id(step)] = (step, _matcher(step, self.buffer), depth)
+        _, keep, depth = entry
+        nodes = context.descendants(None if buffered else self._pull, keep, depth, True)
+        if step.axis is Axis.DOS and keep(context):
+            return itertools.chain((context,), nodes)
+        return nodes
 
     # ------------------------------------------------------------------
     # output
@@ -649,7 +596,11 @@ class Evaluator:
         The check is purely structural — it never consults schema facts —
         so streaming stays sound on schema-violating documents.
         """
-        if node.finished or node.kind != ELEMENT or not self._aggregate_covered(node):
+        if (
+            node.finished
+            or node.kind != ELEMENT
+            or not self.buffer.covered_by_aggregate(node)
+        ):
             yield from self._output_subtree(node)
             return
         self.buffer.stats.early_flushes += 1
@@ -660,14 +611,6 @@ class Evaluator:
         # never purges them, children only ever append, and no signoff runs
         # while one output expression is being emitted.
         yield from self._serialize(node)
-
-    def _aggregate_covered(self, node: BufferNode) -> bool:
-        current: BufferNode | None = node
-        while current is not None:
-            if current.aggregate_roles:
-                return True
-            current = current.parent
-        return False
 
     def _ensure_finished(self, node: BufferNode) -> None:
         while not node.finished:
@@ -719,7 +662,7 @@ class Evaluator:
                         [] if witness is None else [witness]
                     )
                 else:
-                    targets = self._buffered_step(node, step)
+                    targets = self._iter_step(node, step, buffered=True)
                 for target in targets:
                     next_positions[target] = next_positions.get(target, 0) + count
             positions = next_positions
@@ -727,51 +670,20 @@ class Evaluator:
                 break
         return positions
 
-    def _buffered_step(self, node: BufferNode, step: Step) -> Iterator[BufferNode]:
-        """Step evaluation on buffered data only (signOff never pulls)."""
-        if step.axis is Axis.CHILD:
-            child = node.first_child
-            while child is not None:
-                if not child.marked_deleted and _matches(child, step, self.buffer):
-                    yield child
-                child = child.next_sibling
-        elif step.axis is Axis.DESCENDANT:
-            yield from self._buffered_descendants(node, step)
-        else:  # DOS
-            if _matches(node, step, self.buffer):
-                yield node
-            yield from self._buffered_descendants(node, step)
-
-    def _buffered_descendants(
-        self, node: BufferNode, step: Step
-    ) -> Iterator[BufferNode]:
-        buffer = self.buffer
-        stack: list[BufferNode] = []  # ancestors whose next sibling is due
-        child = node.first_child
-        while True:
-            if child is None:
-                if not stack:
-                    return
-                child = stack.pop().next_sibling
-                continue
-            if child.marked_deleted:
-                child = child.next_sibling
-                continue
-            if _matches(child, step, buffer):
-                yield child
-            stack.append(child)
-            child = child.first_child
-
 
 # ---------------------------------------------------------------------------
 
 
-def _matches(node: BufferNode, step: Step, buffer: BufferTree) -> bool:
-    if node.kind == TEXT:
-        return step.test.matches_text()
-    if node.kind == ELEMENT:
-        return step.test.matches_element(buffer.tag_name(node.tag_id))
-    return False
+def _matcher(step: Step, buffer: BufferTree) -> Callable[[BufferNode], bool]:
+    """``step``'s node test as a predicate on buffer nodes."""
+    test, tag_name, text = step.test, buffer.tag_name, step.test.matches_text()
+
+    def keep(node: BufferNode) -> bool:
+        if node.kind == ELEMENT:
+            return test.matches_element(tag_name(node.tag_id))
+        return node.kind == TEXT and text
+
+    return keep
 
 
 def _compare(left: str, op: str, right: str) -> bool:

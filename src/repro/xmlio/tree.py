@@ -47,12 +47,19 @@ class XMLNode:
     def iter_subtree(self) -> Iterator["XMLNode"]:
         """Yield this node and all descendants in document order."""
         yield self
-        for child in self.children:
-            yield from child.iter_subtree()
+        yield from self.descendants()
 
     def descendants(self) -> Iterator["XMLNode"]:
-        for child in self.children:
-            yield from child.iter_subtree()
+        """All descendants in document order, one child iterator per level."""
+        stack = [iter(self.children)]
+        while stack:
+            for child in stack[-1]:
+                yield child
+                if child.children:
+                    stack.append(iter(child.children))
+                    break
+            else:
+                stack.pop()
 
     def ancestors(self) -> Iterator["XMLNode"]:
         node = self.parent
@@ -148,17 +155,27 @@ def build_tree(tokens: Iterable[Token]) -> DocumentNode:
 
 
 def tree_tokens(node: XMLNode) -> Iterator[Token]:
-    """Serialize a subtree back into a token stream (document order)."""
-    if isinstance(node, DocumentNode):
-        for child in node.children:
-            yield from tree_tokens(child)
-    elif isinstance(node, ElementNode):
-        yield StartTag(node.tag)
-        for child in node.children:
-            yield from tree_tokens(child)
-        yield EndTag(node.tag)
-    elif isinstance(node, TextNode):
+    """Serialize a subtree back into a token stream (document order),
+    keeping each open node with the iterator over its remaining children."""
+    if isinstance(node, TextNode):
         yield Text(node.content)
+        return
+    if isinstance(node, ElementNode):
+        yield StartTag(node.tag)
+    stack = [(node, iter(node.children))]
+    while stack:
+        parent, children = stack[-1]
+        for child in children:
+            if isinstance(child, ElementNode):
+                yield StartTag(child.tag)
+                stack.append((child, iter(child.children)))
+                break
+            if isinstance(child, TextNode):
+                yield Text(child.content)
+        else:
+            stack.pop()
+            if isinstance(parent, ElementNode):
+                yield EndTag(parent.tag)
 
 
 def serialize_tree(node: XMLNode) -> str:

@@ -25,7 +25,7 @@ class TestStructure:
         assert a.last_child is c
         assert b.next_sibling is c
         assert c.prev_sibling is b
-        assert list(a.children()) == [b, c]
+        assert list(a.descendants(depth=1)) == [b, c]
 
     def test_seq_is_monotone_document_order(self, buffer):
         a = buffer.new_element(buffer.document, "a")
@@ -41,7 +41,7 @@ class TestStructure:
         c = buffer.new_element(a, "c")
         d = buffer.new_element(a, "d")
         c.unlink()
-        assert list(a.children()) == [b, d]
+        assert list(a.descendants(depth=1)) == [b, d]
         assert b.next_sibling is d
         assert d.prev_sibling is b
 

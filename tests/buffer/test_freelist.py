@@ -41,7 +41,7 @@ class TestRecycling:
         root = buffer.new_element(buffer.document, "big")
         for i in range(FREE_LIST_CAP + 10):
             buffer.new_element(root, f"c{i % 7}")
-        for node in list(root.children()):
+        for node in list(root.descendants(depth=1)):
             node.finished = True
         root.finished = True
         buffer._purge(root)

@@ -19,7 +19,7 @@ class TestLocalizedCollection:
         buffer.assign_roles(b, [(r, 1)])
         b.finished = True
         buffer.remove_role(b, r)
-        assert list(a.children()) == []
+        assert list(a.descendants(depth=1)) == []
         assert buffer.stats.nodes_purged == 1
 
     def test_deletion_propagates_bottom_up(self):
@@ -46,7 +46,7 @@ class TestLocalizedCollection:
         buffer.assign_roles(a, [(r2, 1)])
         buffer.assign_roles(b, [(r3, 1)])
         buffer.remove_role(b, r3)
-        assert list(a.children()) == []
+        assert list(a.descendants(depth=1)) == []
         assert a.parent is buffer.document  # a survives: it has a role
 
     def test_node_with_relevant_descendant_survives(self):
@@ -137,7 +137,7 @@ class TestAggregateCoverage:
         buffer.assign_roles(book, [], aggregate=[(r_agg, 1)])
         buffer.new_element(book, "title")
         buffer.new_text(book, "x")
-        for node in list(book.iter_subtree()):
+        for node in [book, *book.descendants()]:
             node.finished = True
         buffer.remove_role(book, r_agg, aggregate=True)
         assert buffer.is_empty()

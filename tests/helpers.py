@@ -186,6 +186,18 @@ CORPUS: list[tuple[str, str, str]] = [
     ),
 ]
 
+
+def deep_items(d: int) -> str:
+    """``<site><regions><africa>`` over ``d`` nested ``<item><name>a</name>``
+    levels, closed in reverse: a document ``2 * d + 3`` elements deep."""
+    return (
+        "<site><regions><africa>"
+        + "<item><name>a</name>" * d
+        + "</item>" * d
+        + "</africa></regions></site>"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Comparators
 # ---------------------------------------------------------------------------
