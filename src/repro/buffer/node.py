@@ -161,21 +161,23 @@ class BufferNode:
 
         ``keep`` filters what is yielded (never twice), ``depth`` bounds the
         walk (1: the children) and ``skip_marked`` leaves marked-deleted
-        subtrees out.  With ``pull`` (which implies ``skip_marked``) the
-        walk calls it, ending when it returns False, wherever it has seen
-        all that arrived below an unfinished element or stands at a marked
-        node (one is unfinished: a role arriving below may un-mark it).
-        Without ``pull`` the buffer must not change under the walk.
+        subtrees out.  With ``pull`` (only together with ``skip_marked``)
+        the walk calls it, ending when it returns False, wherever it has
+        seen all that arrived below an unfinished element or stands at a
+        marked node (one is unfinished: a role arriving below may un-mark
+        it).  Without ``pull`` the buffer must not change under the walk.
 
-        ``chain`` is the path of open frames, ``last`` the last visited
-        child of the deepest.  While a pulling walk is suspended the
+        ``chain`` is the path of open frames, ``frame`` the deepest and
+        ``last`` its last visited child.  While a pulling walk is suspended the
         collector may purge or mark nodes: a purged frame (detached, or
         recycled under a new seq) is dropped and the walk goes on in the
         nearest live frame after it, by seq, since children are in seq
         order; a marked frame is waited at, then walked again once
         un-marked, skipping what was yielded.
         """
-        skip = skip_marked or pull is not None
+        if pull is not None and not skip_marked:
+            raise ValueError("a pulling walk skips marked subtrees")
+        frame = self
         chain: list[BufferNode] = [self]
         seqs = [self.seq]
         last: Optional[BufferNode] = None
@@ -184,18 +186,19 @@ class BufferNode:
         bound = 0  # deepest frame holding a role (0: the walk's root)
         level = 1  # len(chain)
         while True:
-            nxt = chain[-1].first_child if last is None else last.next_sibling
+            nxt = frame.first_child if last is None else last.next_sibling
             if nxt is None:
-                if pull is None or chain[-1].finished:
+                if pull is None or frame.finished:
                     if level == 1:
                         return
                     last = chain.pop()
                     last_seq = seqs.pop()
+                    frame = chain[-1]
                     level -= 1
                     continue
                 if not pull():
                     return
-            elif skip and nxt.marked_deleted:
+            elif skip_marked and nxt.marked_deleted:
                 if pull is None:
                     last = nxt
                     continue
@@ -207,6 +210,7 @@ class BufferNode:
                 if nxt.kind != TEXT and level != depth:
                     chain.append(nxt)
                     seqs.append(seq)
+                    frame = nxt
                     last = None
                     level += 1
                 if seq <= done or (keep is not None and not keep(nxt)):
@@ -220,10 +224,11 @@ class BufferNode:
                 # Drop purged frames: a purge detaches every node it
                 # takes, so a live deepest frame means every frame is live.
                 while level > 1 and (
-                    chain[-1].parent is None or chain[-1].seq != seqs[-1]
+                    frame.parent is None or frame.seq != seqs[-1]
                 ):
                     last = chain.pop()
                     last_seq = seqs.pop()
+                    frame = chain[-1]
                     level -= 1
                 # A marked node holds no role in its subtree, and marking
                 # climbs to the first ancestor that holds one: if any
@@ -240,10 +245,11 @@ class BufferNode:
                     last_seq = 0 if last is None else last.seq
                     del chain[bound + 1 :]
                     del seqs[bound + 1 :]
+                    frame = chain[-1]
                     level = bound + 1
                     continue
             if last is not None and (last.parent is None or last.seq != last_seq):
-                child = chain[-1].first_child
+                child = frame.first_child
                 last = None
                 while child is not None and child.seq <= last_seq:
                     last = child

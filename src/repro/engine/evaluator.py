@@ -101,10 +101,10 @@ class Evaluator:
         self.query = query
         self.buffer = buffer
         self._pull = pull
-        # Per step: (step, node-test predicate, cursor depth).  Keyed by id,
-        # as hashing a Step costs more than a short walk; holding the step
-        # keeps its id from being reused.
-        self._keeps: dict[int, tuple[Step, Callable, int | None]] = {}
+        # Per step: (step, node-test predicate, cursor depth, DOS axis).
+        # Keyed by id, as hashing a Step costs more than a short walk;
+        # holding the step keeps its id from being reused.
+        self._keeps: dict[int, tuple[Step, Callable, int | None, bool]] = {}
         self.aggregate = aggregate_roles
         self.execute_signoffs = execute_signoffs
         self.on_event = on_event
@@ -510,10 +510,14 @@ class Evaluator:
         entry = self._keeps.get(id(step))
         if entry is None:
             depth = 1 if step.axis is Axis.CHILD else None
-            entry = self._keeps[id(step)] = (step, _matcher(step, self.buffer), depth)
-        _, keep, depth = entry
-        nodes = context.descendants(None if buffered else self._pull, keep, depth, True)
-        if step.axis is Axis.DOS and keep(context):
+            dos = step.axis is Axis.DOS
+            entry = (step, _matcher(step, self.buffer), depth, dos)
+            self._keeps[id(step)] = entry
+        _, keep, depth, dos = entry
+        nodes = context.descendants(
+            None if buffered else self._pull, keep, depth, skip_marked=True
+        )
+        if dos and keep(context):
             return itertools.chain((context,), nodes)
         return nodes
 

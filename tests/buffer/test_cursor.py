@@ -141,7 +141,7 @@ def run(seed: int, keep, children: bool, cursor: bool):
     context = script.context
     if cursor:
         walk = context.descendants(
-            script.pull, keep, depth=1 if children else None
+            script.pull, keep, depth=1 if children else None, skip_marked=True
         )
     else:
         walk = reference_walk(context, script.pull, keep, children)
@@ -173,7 +173,9 @@ def test_scripts_reach_the_cases_that_matter():
     for seed in range(40):
         script = Script(seed)
         seen = set()
-        for node in script.context.descendants(script.pull, keep_a):
+        for node in script.context.descendants(
+            script.pull, keep_a, skip_marked=True
+        ):
             yields += 1
             script.body(node)
             for member in script.context.descendants():
@@ -215,8 +217,15 @@ def test_a_purge_detaches_every_node_it_takes(monkeypatch):
     buffer.new_element(middle, "a")
     for node in (*middle.descendants(depth=1), middle, cover):
         buffer.finish(node)
-    walk = context.descendants(lambda: False, keep_a)
+    walk = context.descendants(lambda: False, keep_a, skip_marked=True)
     assert next(walk) is first
     buffer.remove_role(cover, ROLE, aggregate=True)
     assert context.first_child is None
     assert list(walk) == []
+
+
+def test_a_pulling_walk_must_skip_marked_subtrees():
+    buffer = BufferTree()
+    context = buffer.new_element(buffer.document, "r")
+    with pytest.raises(ValueError):
+        next(context.descendants(lambda: False, keep_a))
