@@ -168,8 +168,8 @@ class BufferNode:
         it).  Without ``pull`` the buffer must not change under the walk.
 
         ``chain`` is the path of open frames, ``frame`` the deepest and
-        ``last`` its last visited child.  While a pulling walk is suspended the
-        collector may purge or mark nodes: a purged frame (detached, or
+        ``last`` its last visited child.  While a pulling walk is suspended
+        the collector may purge or mark nodes: a purged frame (detached, or
         recycled under a new seq) is dropped and the walk goes on in the
         nearest live frame after it, by seq, since children are in seq
         order; a marked frame is waited at, then walked again once
@@ -223,9 +223,7 @@ class BufferNode:
             if level > 1:
                 # Drop purged frames: a purge detaches every node it
                 # takes, so a live deepest frame means every frame is live.
-                while level > 1 and (
-                    frame.parent is None or frame.seq != seqs[-1]
-                ):
+                while level > 1 and (frame.parent is None or frame.seq != seqs[-1]):
                     last = chain.pop()
                     last_seq = seqs.pop()
                     frame = chain[-1]
@@ -274,9 +272,7 @@ class BufferNode:
         """Concatenated text content of the subtree (document order)."""
         if self.kind == TEXT:
             return self.text
-        return "".join(
-            [node.text for node in self.descendants() if node.kind == TEXT]
-        )
+        return "".join([n.text for n in self.descendants() if n.kind == TEXT])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = {DOC: "doc", ELEMENT: "elem", TEXT: "text"}[self.kind]

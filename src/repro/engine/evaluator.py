@@ -101,10 +101,10 @@ class Evaluator:
         self.query = query
         self.buffer = buffer
         self._pull = pull
-        # Per step: (step, node-test predicate, cursor depth, DOS axis).
-        # Keyed by id, as hashing a Step costs more than a short walk;
-        # holding the step keeps its id from being reused.
-        self._keeps: dict[int, tuple[Step, Callable, int | None, bool]] = {}
+        # Per step: (step, node-test predicate, cursor depth).  Keyed by id,
+        # as hashing a Step costs more than a short walk; holding the step
+        # keeps its id from being reused.
+        self._keeps: dict[int, tuple[Step, Callable, int | None]] = {}
         self.aggregate = aggregate_roles
         self.execute_signoffs = execute_signoffs
         self.on_event = on_event
@@ -510,14 +510,12 @@ class Evaluator:
         entry = self._keeps.get(id(step))
         if entry is None:
             depth = 1 if step.axis is Axis.CHILD else None
-            dos = step.axis is Axis.DOS
-            entry = (step, _matcher(step, self.buffer), depth, dos)
-            self._keeps[id(step)] = entry
-        _, keep, depth, dos = entry
+            entry = self._keeps[id(step)] = (step, _matcher(step, self.buffer), depth)
+        _, keep, depth = entry
         nodes = context.descendants(
             None if buffered else self._pull, keep, depth, skip_marked=True
         )
-        if dos and keep(context):
+        if step.axis is Axis.DOS and keep(context):
             return itertools.chain((context,), nodes)
         return nodes
 
@@ -600,11 +598,8 @@ class Evaluator:
         The check is purely structural — it never consults schema facts —
         so streaming stays sound on schema-violating documents.
         """
-        if (
-            node.finished
-            or node.kind != ELEMENT
-            or not self.buffer.covered_by_aggregate(node)
-        ):
+        covered = self.buffer.covered_by_aggregate
+        if node.finished or node.kind != ELEMENT or not covered(node):
             yield from self._output_subtree(node)
             return
         self.buffer.stats.early_flushes += 1
